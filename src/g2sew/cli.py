@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import epsilon, formal, rho, sphere
 from .elliptic import SeriesTolerance, eisenstein
@@ -266,8 +265,7 @@ def _cmd_sweep(args) -> int | dict:
             return v, None, check.margin
         return v, rho.period_matrix_rho(p, args.order, tol), check.margin
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        rows = list(ex.map(one, values))  # input order preserved
+    rows = [one(v) for v in values]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -381,7 +379,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tau"), p.add_argument("--w")
     p.add_argument("--branch", type=int, default=0)
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=4)
     _add_common(p)
 
     return ap

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,11 @@ from .lattice import TWO_PI_I, lattice_min, reduce_mod_lattice, require_tau
 # Crude uniform bound on |E_j(tau)| * D(Lambda_tau)^j used only for tail
 # certificates of z-Laurent series (lattice-sum comparison, j >= 2).
 _EISEN_LATTICE_BOUND = 40.0
+
+# Largest weight of the Eisenstein table behind the Laurent route of P_k.
+# From k of about 386 on, the constant term 2 (2pi)^-k of E_k leaves the
+# normal double range and E_k's own tail test can no longer be evaluated.
+_LAURENT_MAX_WEIGHT = 384
 
 
 @dataclass(frozen=True)
@@ -43,15 +49,27 @@ class SeriesTolerance:
 DEFAULT_TOL = SeriesTolerance()
 
 
-def _bernoulli_list(kmax: int) -> list[Fraction]:
-    """[B_0..B_kmax] from the defining recurrence."""
-    b = [Fraction(1)]
-    for m in range(1, kmax + 1):
-        s = Fraction(0)
-        for j in range(m):
-            s += math.comb(m + 1, j) * b[j]
-        b.append(-s / (m + 1))
-    return b
+# [B_0..B_K] for the largest K asked for so far.  Extensions are built under
+# the lock and published by rebinding to a new tuple, so a reader sees either
+# the old table or the new one, never a partial or shared mutable one.
+_bernoulli_table: tuple[Fraction, ...] = (Fraction(1),)
+_bernoulli_lock = threading.Lock()
+
+
+def _bernoulli_list(kmax: int) -> tuple[Fraction, ...]:
+    """(B_0..B_kmax) from the defining recurrence, memoised per process."""
+    global _bernoulli_table
+    table = _bernoulli_table
+    if len(table) <= kmax:
+        with _bernoulli_lock:
+            b = list(_bernoulli_table)
+            for m in range(len(b), kmax + 1):
+                s = Fraction(0)
+                for j in range(m):
+                    s += math.comb(m + 1, j) * b[j]
+                b.append(-s / (m + 1))
+            _bernoulli_table = table = tuple(b)
+    return table[:kmax + 1]
 
 
 def bernoulli(k: int) -> Fraction:
@@ -75,8 +93,7 @@ def _sigma(k: int, n: int) -> int:
     return s
 
 
-def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL,
-                 _bk: Fraction | None = None) -> complex:
+def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """E_k evaluated directly from the nome q, |q| < 1."""
     if k < 2:
         raise InvalidArgumentError(f"eisenstein requires k >= 2, got {k}")
@@ -87,8 +104,7 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL,
     if not aq < 1.0:
         raise InvalidArgumentError(f"|q| must be < 1, got {aq}")
     fact = math.factorial(k - 1)
-    bk = bernoulli(k) if _bk is None else _bk
-    const = complex(Fraction(-bk, k * fact))
+    const = complex(Fraction(-_bernoulli_list(k)[k], k * fact))
     total = const
     if aq == 0.0:
         return total
@@ -99,7 +115,7 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL,
     log_pref = math.log(2.0) - math.lgamma(k)
     for n in range(1, tol.max_terms + 1):
         qn *= q
-        total += float(Fraction(2 * _sigma(k - 1, n), fact)) * qn
+        total += 2 * _sigma(k - 1, n) / fact * qn
         # sigma_{k-1}(m) <= m^k, so the tail is dominated by the geometric-ish
         # series u_m = (2/(k-1)!) m^k |q|^m once u_{m+1}/u_m < 1.
         log_u = log_pref + k * math.log(n + 1) + (n + 1) * math.log(aq)
@@ -126,10 +142,9 @@ def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL
     """[E_0..E_kmax] with the convention E_0 = E_1 = 0 (E_0 unused)."""
     tau = require_tau(tau)
     q = cmath.exp(TWO_PI_I * tau)
-    bern = _bernoulli_list(kmax) if kmax >= 2 else []
     out = [0j] * (kmax + 1)
     for k in range(2, kmax + 1, 2):
-        out[k] = eisenstein_q(k, q, tol, _bk=bern[k])
+        out[k] = eisenstein_q(k, q, tol)
     return out
 
 
@@ -271,20 +286,20 @@ def weierstrass_range(kmax: int, tau: complex, z: complex,
         raise PoleError(f"z = {z} lies on the lattice Lambda_tau")
     out = [0j] * (kmax + 1)
     if abs(z_near) < 0.5 * dmin:
-        # extend the Eisenstein table until every P_k's tail certifies
+        # extend the Eisenstein table until every P_k's tail certifies; past
+        # the cap fall through to the q_z route, which converges for every
+        # z off the lattice
         kbound = max(kmax + 40, 2 * kmax)
-        eis = eisenstein_range(kbound, tau, tol)
-        while True:
+        while kbound <= _LAURENT_MAX_WEIGHT:
+            eis = eisenstein_range(kbound, tau, tol)
             try:
                 for k in range(1, kmax + 1):
                     out[k] = _p_laurent_route(k, tau, z_near, dmin, eis, tol)
-                break
             except ToleranceError:
-                if len(eis) > 400:
-                    raise
-                eis = eisenstein_range(2 * len(eis), tau, tol)
-        out[1] -= m_near
-        return out
+                kbound = 2 * len(eis)
+                continue
+            out[1] -= m_near
+            return out
     # centered reduction in the original basis keeps |a| <= 1/2
     u = z / TWO_PI_I
     a = u.imag / tau.imag

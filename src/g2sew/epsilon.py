@@ -230,34 +230,33 @@ def _eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
     return EpsPoint(tau1, tau2, -TWO_PI_I * om12)
 
 
+def _complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
+    """Jacobian of a holomorphic f: C^m -> C^m at x, one central difference
+    along the real axis of each coordinate (2m evaluations)."""
+    jac = np.empty((len(x), len(x)), dtype=complex)
+    for j in range(len(x)):
+        h = rel_step * (1.0 + abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        jac[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+    return jac
+
+
 def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50,
             rel_step: float = 1e-6):
-    """Damped Newton on C^m -> C^m, each complex coordinate treated as two
-    real ones; central-difference Jacobian."""
-    m = len(x0)
+    """Damped Newton for a holomorphic map C^m -> C^m with a complex
+    central-difference Jacobian."""
     x = np.array(x0, dtype=complex)
     fx = f(x)
     res = float(np.max(np.abs(fx)))
     for _ in range(max_iter):
         if res < newton_tol:
             return x
-        jac = np.zeros((2 * m, 2 * m))
-        for j in range(m):
-            h = rel_step * (1.0 + abs(x[j]))
-            for part, delta in ((0, h), (1, 1j * h)):
-                xp = x.copy(); xp[j] += delta
-                xm = x.copy(); xm[j] -= delta
-                col = (f(xp) - f(xm)) / (2.0 * h)
-                jac[0::2, 2 * j + part] = col.real
-                jac[1::2, 2 * j + part] = col.imag
-        rhs = np.empty(2 * m)
-        rhs[0::2], rhs[1::2] = fx.real, fx.imag
         try:
-            step_r = np.linalg.solve(jac, rhs)
+            step = np.linalg.solve(_complex_jacobian(f, x, rel_step), fx)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Newton Jacobian",
                                    last_residual=res) from None
-        step = step_r[0::2] + 1j * step_r[1::2]
         lam = 1.0
         for _ in range(30):
             try:

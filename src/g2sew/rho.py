@@ -25,7 +25,7 @@ from .elliptic import (
 )
 from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
 from .errors import BudgetError, DomainError, InvalidArgumentError
-from .lattice import TWO_PI_I, lattice_distance, mobius, require_tau
+from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
 from .moments import beta_vector, r_matrix, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
@@ -81,12 +81,14 @@ class LElement:
 
 
 def in_domain_rho(p: RhoPoint) -> DomainCheck:
-    """|w - lambda| > 2|rho|^(1/2) > 0 for every lattice point lambda."""
+    """|w - lambda| > 2|rho|^(1/2) > 0 for every lattice point lambda, and
+    D(Lambda_tau) > 2|rho|^(1/2), so that no sewing disc overlaps its own
+    lattice translates."""
     require_tau(p.tau)
     if p.rho == 0:
         return DomainCheck(False, math.inf)
-    dist = lattice_distance(p.tau, p.w)
-    margin = 2.0 * math.sqrt(abs(p.rho)) / dist
+    bound = min(lattice_distance(p.tau, p.w), lattice_min(p.tau))
+    margin = 2.0 * math.sqrt(abs(p.rho)) / bound
     return DomainCheck(margin < 1.0, margin)
 
 

@@ -3,6 +3,8 @@ modular transformation laws."""
 
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +23,13 @@ from g2sew import (
     d_coeff,
     dedekind_eta,
     eisenstein,
+    eisenstein_range,
     lattice_min,
     prime_form,
     weierstrass_p,
+    weierstrass_range,
 )
+from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
 
 S = ((0, -1), (1, 0))
@@ -52,6 +57,51 @@ class TestBernoulli:
         for k in (0, 1, 3, 7):
             with pytest.raises(InvalidArgumentError):
                 bernoulli(k)
+
+    def test_memo_is_complete_and_unshared_under_threads(self, monkeypatch):
+        # cold start; each thread extends the memo to its own sizes while the
+        # interpreter switches threads as often as it can
+        monkeypatch.setattr(elliptic, "_bernoulli_table", (Fraction(1),))
+        sizes = [[4 * (i + 1) + 24 * r for r in range(6)] for i in range(8)]
+        want = bernoulli_reference(max(map(max, sizes)))
+        bad = []
+
+        def work(mine):
+            for kmax in mine:
+                table = elliptic._bernoulli_list(kmax)
+                if table != want[:kmax + 1]:
+                    bad.append(kmax)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in sizes]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert elliptic._bernoulli_table == want
+
+    def test_returned_table_cannot_change_the_next_call(self):
+        table = elliptic._bernoulli_list(12)
+        with pytest.raises(TypeError):
+            table[2] = Fraction(0)
+        eis = eisenstein_range(12, 1j)
+        eis[4] = 0j
+        assert elliptic._bernoulli_list(12) == bernoulli_reference(12)
+        assert eisenstein_range(12, 1j)[4] == eisenstein(4, 1j)
+
+
+def bernoulli_reference(kmax):
+    """(B_0..B_kmax) from the recurrence, computed afresh."""
+    b = [Fraction(1)]
+    for m in range(1, kmax + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b)
 
 
 def eisenstein_oracle(k, tau, nterms=200):
@@ -207,6 +257,15 @@ class TestWeierstrass:
                 a = weierstrass_p(k, tau, z)
                 b = weierstrass_p(k, tau, z + TWO_PI_I * (2 * tau + 1))
                 assert abs(a - b) < 1e-11 * max(1.0, abs(a))
+        # skewed torus, |z| = 0.48 D: a short table certifies on the Laurent
+        # route, the 48-entry one does not and takes the q_z route
+        tau = 0.0583 + 0.3004j
+        _, v2 = gauss_reduce(*lattice_basis(tau))
+        z = 0.48 * lattice_min(tau) * cmath.exp(0.3j) * v2 / abs(v2)
+        full = weierstrass_range(48, tau, z)
+        for k in (2, 3, 4, 5, 24, 47):
+            a = weierstrass_p(k, tau, z)
+            assert abs(a - full[k]) < 1e-11 * max(1.0, abs(a))
 
 
 class TestPrimeForm:

@@ -9,6 +9,8 @@ import pytest
 
 from g2sew import (
     BudgetError,
+    ChiPoint,
+    ConvergenceError,
     DomainError,
     EpsPoint,
     GElement,
@@ -16,6 +18,7 @@ from g2sew import (
     SL2_S,
     SL2_T,
     bilinear_form_eps,
+    chi_period,
     eisenstein,
     equivariance_residual_eps,
     g_action_eps,
@@ -267,6 +270,48 @@ class TestInversion:
         assert abs(q.tau2 - p.tau2) < 1e-9
         assert abs(q.eps - p.eps) < 1e-9
 
+    @pytest.mark.parametrize("chart", ["eps", "chi"])
+    def test_complex_jacobian_matches_real_split(self, chart):
+        # the period maps are holomorphic, so the complex Jacobian from real
+        # steps alone must match the 2m x 2m real one built from real and
+        # imaginary steps; both are central differences at the same h
+        if chart == "eps":
+            x0 = np.array([1j, 2j, 0.1 + 0j])
+
+            def f(v):
+                om = period_matrix_eps(EpsPoint(v[0], v[1], v[2]), 12)
+                return np.array([om.omega11, om.omega22, om.omega12])
+        else:
+            x0 = np.array([1j, 0.3 + 0j, 0.05 + 0j])
+
+            def f(v):
+                om = chi_period(ChiPoint(v[0], v[1], v[2]), 12)
+                return np.array([om.omega11, om.omega12, om.omega22])
+
+        jac = eps_mod._complex_jacobian(f, x0)
+        ref = real_split_jacobian(f, x0)
+        scale = np.max(np.abs(jac))
+        # the real-split columns hold Re/Im of J e_j and of i J e_j
+        assert np.max(np.abs(ref[0::2, 0::2] + 1j * ref[1::2, 0::2] - jac)) < 1e-7 * scale
+        assert np.max(np.abs(ref[0::2, 1::2] + 1j * ref[1::2, 1::2] - 1j * jac)) < 1e-7 * scale
+
+    def test_newton_step_costs_2m_evaluations_plus_line_search(self):
+        # z^2 = 4 from z = 1 in each of m = 3 coordinates: the full step
+        # lands on 2.5, outside the |z| <= 2.2 guard, so the line search
+        # evaluates twice (lam = 1 rejected, lam = 1/2 accepted)
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            if np.max(np.abs(v)) > 2.2:
+                raise DomainError("outside the guard")
+            return v**2 - 4.0
+
+        with pytest.raises(ConvergenceError):
+            eps_mod._newton(f, np.ones(3, dtype=complex), 1e-12, max_iter=1)
+        assert len(calls) == 1 + 2 * 3 + 2
+        assert np.allclose(calls[-1], 1.75)
+
     def test_jacobian_determinant_at_degeneration(self):
         # complex Jacobian of (Om11, Om22, 2pi*i*Om12) wrt (tau1, tau2, eps)
         # at eps = 0 has determinant -1
@@ -285,3 +330,19 @@ class TestInversion:
             xm[j] -= h
             jac[:, j] = (f(xp) - f(xm)) / (2 * h)
         assert abs(np.linalg.det(jac) - (-1.0)) < 1e-6
+
+
+def real_split_jacobian(f, x, rel_step=1e-6):
+    """The 2m x 2m real central-difference Jacobian, each complex coordinate
+    split into its real and imaginary parts (rows and columns interleaved)."""
+    m = len(x)
+    jac = np.zeros((2 * m, 2 * m))
+    for j in range(m):
+        h = rel_step * (1.0 + abs(x[j]))
+        for part, delta in ((0, h), (1, 1j * h)):
+            xp = x.copy(); xp[j] += delta
+            xm = x.copy(); xm[j] -= delta
+            col = (f(xp) - f(xm)) / (2.0 * h)
+            jac[0::2, 2 * j + part] = col.real
+            jac[1::2, 2 * j + part] = col.imag
+    return jac

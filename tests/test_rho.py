@@ -61,6 +61,15 @@ class TestDomain:
     def test_rho_zero_rejected(self):
         assert not in_domain_rho(RhoPoint(1j, 1j * math.pi, 0.0)).ok
 
+    def test_disc_overlapping_its_lattice_translates_rejected(self):
+        # dist(w, lattice) > 2|rho|^(1/2), but the lattice minimum D is not:
+        # the truncated solve would return Im Omega not positive definite
+        p = RhoPoint(0.05215 + 0.22178j, -0.36204 + 3.73323j,
+                     -0.59580 + 0.87800j, 1)
+        assert not in_domain_rho(p).ok
+        with pytest.raises(DomainError):
+            period_matrix_rho(p, 12)
+
 
 class TestPeriodMatrix:
     def test_leading_orders_against_appendix(self):
