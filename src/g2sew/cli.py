@@ -142,15 +142,16 @@ def _parse_target(args) -> PeriodMatrix:
 
 def _cmd_invert(args) -> dict:
     target = _parse_target(args)
+    tol = _tol(args)
     if args.formalism == "eps":
-        p = epsilon.invert_eps(target, newton_tol=args.newton_tol, n=args.order)
-        res = epsilon.period_matrix_eps(p, args.order).max_abs_diff(target) \
+        p = epsilon.invert_eps(target, newton_tol=args.newton_tol, n=args.order, tol=tol)
+        res = epsilon.period_matrix_eps(p, args.order, tol).max_abs_diff(target) \
             if p.eps != 0 else 0.0
         return {"tau1": _c2d(p.tau1), "tau2": _c2d(p.tau2), "eps": _c2d(p.eps),
                 "residual": res, "order": args.order,
                 "margin": epsilon.in_domain_eps(p).margin}
-    c = rho.invert_chi(target, newton_tol=args.newton_tol, n=args.order)
-    res = rho.chi_period(c, args.order).max_abs_diff(target) if c.w != 0 else 0.0
+    c = rho.invert_chi(target, newton_tol=args.newton_tol, n=args.order, tol=tol)
+    res = rho.chi_period(c, args.order, tol).max_abs_diff(target) if c.w != 0 else 0.0
     return {"tau": _c2d(c.tau), "w": _c2d(c.w), "chi": _c2d(c.chi),
             "residual": res, "order": args.order,
             "margin": rho.in_domain_rho(c.rho_point()).margin if c.w != 0 else 0.0}
@@ -231,7 +232,7 @@ def _cmd_appendix_series(args) -> dict:
 def _cmd_map_rho_to_eps(args) -> dict:
     c = rho.ChiPoint(parse_complex(args.tau), parse_complex(args.w),
                      parse_complex(args.chi))
-    p = rho.eps_from_rho(c, args.order, args.newton_tol)
+    p = rho.eps_from_rho(c, args.order, args.newton_tol, _tol(args))
     return {"tau1": _c2d(p.tau1), "tau2": _c2d(p.tau2), "eps": _c2d(p.eps),
             "order": args.order,
             "margin": epsilon.in_domain_eps(p).margin}

@@ -28,7 +28,7 @@ _EISEN_LATTICE_BOUND = 40.0
 
 # Largest weight of the Eisenstein table behind the Laurent route of P_k.
 # From k of about 386 on, the constant term 2 (2pi)^-k of E_k leaves the
-# normal double range and E_k's own tail test can no longer be evaluated.
+# normal double range, so the table stops there and the q_z route takes over.
 _LAURENT_MAX_WEIGHT = 384
 
 
@@ -93,6 +93,48 @@ def _sigma(k: int, n: int) -> int:
     return s
 
 
+def _eisenstein_q_sum(k: int, q: complex, tol: SeriesTolerance, d: int) -> complex:
+    """sum_{n>=1} n^d (2 sigma_{k-1}(n)/(k-1)!) q^n for even k >= 2, |q| < 1.
+
+    d = 0 is the q-series of E_k, d = 1 that of (dE_k/dtau) / (2pi*i).  The
+    tail, times (2pi)^d, is certified below abs_tol * min(1, |B_k|/k!): E_k is of
+    that order, ~ 2/(2pi)^k, so anchoring the stop there lets downstream z^k
+    amplification meet the tolerance in relative terms too.  The test runs in
+    log space, where that anchor cannot underflow at high weight.
+    """
+    aq = abs(q)
+    if aq == 0.0:
+        return 0j
+    bk = _bernoulli_list(k)[k]
+    log_const = (math.log(abs(bk.numerator)) - math.log(bk.denominator)
+                 - math.lgamma(k + 1))
+    log_goal = math.log(tol.abs_tol) + min(0.0, log_const)
+    fact = math.factorial(k - 1)
+    # n^d sigma_{k-1}(n) <= n^p, so the tail is dominated by the
+    # geometric-ish series u_m = (2 (2pi)^d/(k-1)!) m^p |q|^m once u_{m+1}/u_m < 1
+    p = k + d
+    log_pref = math.log(2.0 * (2.0 * math.pi) ** d) - math.lgamma(k)
+    log_aq = math.log(aq)
+    total = 0j
+    qn = 1 + 0j
+    try:
+        for n in range(1, tol.max_terms + 1):
+            qn *= q
+            c = 2 * _sigma(k - 1, n) / fact
+            total += (n * c if d else c) * qn
+            log_u = log_pref + p * math.log(n + 1) + (n + 1) * log_aq
+            rho = aq * ((n + 2) / (n + 1)) ** p
+            if rho < 1.0 and log_u < log_goal + math.log1p(-rho):
+                return total
+    except OverflowError:
+        raise RangeOverflowError(
+            f"E_{k} q-series coefficient {n} overflows the double range") from None
+    log_achieved = log_pref + p * math.log(tol.max_terms) + tol.max_terms * log_aq
+    raise ToleranceError(
+        f"E_{k} q-series not certified within {tol.max_terms} terms",
+        achieved=math.exp(min(log_achieved, 700.0)))
+
+
 def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """E_k evaluated directly from the nome q, |q| < 1."""
     if k < 2:
@@ -100,32 +142,10 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     if k % 2 == 1:
         return 0j
     q = complex(q)
-    aq = abs(q)
-    if not aq < 1.0:
-        raise InvalidArgumentError(f"|q| must be < 1, got {aq}")
-    fact = math.factorial(k - 1)
-    const = complex(Fraction(-_bernoulli_list(k)[k], k * fact))
-    total = const
-    if aq == 0.0:
-        return total
-    # E_k itself is of order |B_k|/k! ~ 2/(2pi)^k; anchor the stop there so
-    # downstream z^k amplification meets the tolerance in relative terms too
-    goal = tol.abs_tol * min(1.0, abs(const))
-    qn = 1 + 0j
-    log_pref = math.log(2.0) - math.lgamma(k)
-    for n in range(1, tol.max_terms + 1):
-        qn *= q
-        total += 2 * _sigma(k - 1, n) / fact * qn
-        # sigma_{k-1}(m) <= m^k, so the tail is dominated by the geometric-ish
-        # series u_m = (2/(k-1)!) m^k |q|^m once u_{m+1}/u_m < 1.
-        log_u = log_pref + k * math.log(n + 1) + (n + 1) * math.log(aq)
-        rho = aq * ((n + 2) / (n + 1)) ** k
-        if rho < 1.0 and log_u < math.log(goal * (1.0 - rho)):
-            return total
-    achieved = math.exp(log_pref + k * math.log(tol.max_terms) + tol.max_terms * math.log(aq))
-    raise ToleranceError(
-        f"E_{k} q-series not certified within {tol.max_terms} terms", achieved=achieved
-    )
+    if not abs(q) < 1.0:
+        raise InvalidArgumentError(f"|q| must be < 1, got {abs(q)}")
+    const = complex(Fraction(-_bernoulli_list(k)[k], math.factorial(k)))
+    return const + _eisenstein_q_sum(k, q, tol, 0)
 
 
 def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
@@ -145,6 +165,21 @@ def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL
     out = [0j] * (kmax + 1)
     for k in range(2, kmax + 1, 2):
         out[k] = eisenstein_q(k, q, tol)
+    return out
+
+
+def eisenstein_dtau_range(kmax: int, tau: complex,
+                          tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
+    """[dE_0/dtau..dE_kmax/dtau], zero at odd k (slots 0 and 1 unused).
+
+    dE_k/dtau = 2pi*i sum_{n>=1} n (2 sigma_{k-1}(n)/(k-1)!) q^n, with the
+    tail certified by the same test as E_k's.
+    """
+    tau = require_tau(tau)
+    q = cmath.exp(TWO_PI_I * tau)
+    out = [0j] * (kmax + 1)
+    for k in range(2, kmax + 1, 2):
+        out[k] = TWO_PI_I * _eisenstein_q_sum(k, q, tol, 1)
     return out
 
 

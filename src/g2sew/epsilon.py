@@ -18,7 +18,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .lattice import TWO_PI_I, lattice_min, mobius, require_tau
-from .moments import MomentMatrix, a_matrix, solve_id_minus, x_blocks
+from .moments import MomentMatrix, a_matrix, a_matrix_dtau, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
@@ -89,19 +89,59 @@ def period_matrix_eps(p: EpsPoint, n: int = 12,
     2pi*i*Om11 = 2pi*i*tau1 + eps (A2 (I - A1 A2)^-1)(1,1), symmetrically for
     Om22, and 2pi*i*Om12 = -eps (I - A1 A2)^-1 (1,1).
     """
+    return _period_eps(p, n, tol, half_power_sign)[0]
+
+
+def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
+                half_power_sign: int = 1, jacobian: bool = False):
+    """(Omega, J) with J = d(Om11, Om22, Om12)/d(tau1, tau2, eps) when asked
+    for, else None; both come from one factorization of I - A1 A2.
+
+    With G12 = (I - A1 A2)^-1 and G21 = (I - A2 A1)^-1 = G12^T (A1, A2
+    symmetric), the push-through identity A1 G21 = G12 A1 gives every
+    vector from the one solve G12 [e1, A1 e1] = [x12, u1]:
+    u2 = A2 x12 and x21 = G21 e1 = e1 + A2 u1.  Then
+    d x12(1) = x21.dA1 u2 + u1.dA2 x12,  d u2(1) = u2.dA1 u2 + x12.dA2 x12,
+    and d u1(1) is the latter with the labels swapped.
+    """
     check = in_domain_eps(p)
     if not check.ok:
         raise DomainError(f"(tau1, tau2, eps) outside D^eps, margin {check.margin:.3f}")
-    a1 = a_matrix(p.tau1, p.eps, n, tol, half_power_sign)
-    a2 = a_matrix(p.tau2, p.eps, n, tol, half_power_sign)
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    x12 = solve_id_minus(a1.entries @ a2.entries, e1)  # (I-A1A2)^-1 e1
-    x21 = solve_id_minus(a2.entries @ a1.entries, e1)  # (I-A2A1)^-1 e1
-    om11 = TWO_PI_I * p.tau1 + p.eps * (a2.entries @ x12)[0]
-    om22 = TWO_PI_I * p.tau2 + p.eps * (a1.entries @ x21)[0]
+    a1 = a_matrix(p.tau1, p.eps, n, tol, half_power_sign).entries
+    a2 = a_matrix(p.tau2, p.eps, n, tol, half_power_sign).entries
+    rhs = np.zeros((n, 2), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[:, 1] = a1[:, 0]
+    sol = solve_id_minus(a1 @ a2, rhs)
+    x12, u1 = sol[:, 0], sol[:, 1]
+    u2 = a2 @ x12
+    om11 = TWO_PI_I * p.tau1 + p.eps * u2[0]
+    om22 = TWO_PI_I * p.tau2 + p.eps * u1[0]
     om12 = -p.eps * x12[0]
-    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    omega = PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    if not jacobian:
+        return omega, None
+    x21 = a2 @ u1
+    x21[0] += 1.0
+    da1 = a_matrix_dtau(p.tau1, p.eps, n, tol, half_power_sign).entries
+    da2 = a_matrix_dtau(p.tau2, p.eps, n, tol, half_power_sign).entries
+    kk = np.arange(1, n + 1)
+    half = (kk[:, None] + kk[None, :]) / 2.0
+    h1, h2 = a1 * half, a2 * half  # eps dA1/deps, eps dA2/deps
+    e = p.eps
+    # d(2pi*i Om11, 2pi*i Om22, 2pi*i Om12) / d(tau1, tau2, eps), less the
+    # 2pi*i on the diagonal of the tau columns
+    jac = np.array([
+        [e * (u2 @ da1 @ u2), e * (x12 @ da2 @ x12),
+         u2[0] + u2 @ h1 @ u2 + x12 @ h2 @ x12],
+        [e * (x21 @ da1 @ x21), e * (u1 @ da2 @ u1),
+         u1[0] + x21 @ h1 @ x21 + u1 @ h2 @ u1],
+        [-e * (x21 @ da1 @ u2), -e * (u1 @ da2 @ x12),
+         -(x12[0] + x21 @ h1 @ u2 + u1 @ h2 @ x12)],
+    ]) / TWO_PI_I
+    jac[0, 0] += 1.0
+    jac[1, 1] += 1.0
+    return omega, jac
 
 
 def _necklace_chains(a_mats: dict[int, MomentMatrix], budget: int):
@@ -206,7 +246,9 @@ def g_action_eps(g: GElement, p: EpsPoint) -> EpsPoint:
     else:
         (_, _), (c, d) = g.mat
         img = EpsPoint(p.tau1, mobius(g.mat, p.tau2), p.eps / (c * p.tau2 + d))
-    assert in_domain_eps(img).ok or not in_domain_eps(p).ok
+    check = in_domain_eps(img)
+    if not check.ok and in_domain_eps(p).ok:
+        raise DomainError(f"G-action image leaves D^eps, margin {check.margin!r}")
     return img
 
 
@@ -230,37 +272,43 @@ def _eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
     return EpsPoint(tau1, tau2, -TWO_PI_I * om12)
 
 
-def _complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Jacobian of a holomorphic f: C^m -> C^m at x, one central difference
-    along the real axis of each coordinate (2m evaluations)."""
-    jac = np.empty((len(x), len(x)), dtype=complex)
-    for j in range(len(x)):
+def _complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6,
+                      columns=None) -> np.ndarray:
+    """Jacobian columns of a holomorphic f: C^m -> C^m at x (all by
+    default), one central difference along the real axis of each coordinate
+    (two evaluations per column)."""
+    columns = range(len(x)) if columns is None else columns
+    jac = np.empty((len(x), len(columns)), dtype=complex)
+    for i, j in enumerate(columns):
         h = rel_step * (1.0 + abs(x[j]))
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
-        jac[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+        jac[:, i] = (f(xp) - f(xm)) / (2.0 * h)
     return jac
 
 
-def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50,
-            rel_step: float = 1e-6):
-    """Damped Newton for a holomorphic map C^m -> C^m with a complex
-    central-difference Jacobian."""
+def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50):
+    """Damped Newton for a holomorphic map C^m -> C^m.
+
+    f(x) returns the residual and its complex Jacobian (F, J); the J of each
+    accepted line-search point drives the next step, so a trial costs one
+    call of f and the Jacobian none.
+    """
     x = np.array(x0, dtype=complex)
-    fx = f(x)
+    fx, jac = f(x)
     res = float(np.max(np.abs(fx)))
     for _ in range(max_iter):
         if res < newton_tol:
             return x
         try:
-            step = np.linalg.solve(_complex_jacobian(f, x, rel_step), fx)
+            step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Newton Jacobian",
                                    last_residual=res) from None
         lam = 1.0
         for _ in range(30):
             try:
-                fx_new = f(x - lam * step)
+                fx_new, jac_new = f(x - lam * step)
             except DomainError:
                 lam *= 0.5
                 continue
@@ -273,7 +321,7 @@ def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50,
                 "Newton step could not reduce the residual inside the domain",
                 last_residual=res)
         x = x - lam * step
-        fx, res = fx_new, res_new
+        fx, jac, res = fx_new, jac_new, res_new
     if res < newton_tol:
         return x
     raise ConvergenceError(f"no convergence in {max_iter} iterations",
@@ -285,8 +333,9 @@ def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
                tol: SeriesTolerance = DEFAULT_TOL) -> EpsPoint:
     """Invert the sewing map near the two-tori degeneration.
 
-    Newton iteration on (tau1, tau2, eps); the auto-seed comes from the
-    leading inversion formulas.  diag targets return (tau1, tau2, 0) exactly.
+    Newton iteration on (tau1, tau2, eps) with the closed-form Jacobian; the
+    auto-seed comes from the leading inversion formulas.  diag targets
+    return (tau1, tau2, 0) exactly.
     """
     if abs(target.omega12) < 1e-15:
         return EpsPoint(target.omega11, target.omega22, 0j)
@@ -294,12 +343,12 @@ def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
         seed = _eps_seed(target, tol)
     goal = np.array([target.omega11, target.omega22, target.omega12])
 
-    def f(v: np.ndarray) -> np.ndarray:
+    def f(v: np.ndarray):
         p = EpsPoint(v[0], v[1], v[2])
         if not (p.tau1.imag > 0.0 and p.tau2.imag > 0.0):
             raise DomainError("tau left the upper half-plane")
-        om = period_matrix_eps(p, n, tol)
-        return np.array([om.omega11, om.omega22, om.omega12]) - goal
+        om, jac = _period_eps(p, n, tol, jacobian=True)
+        return np.array([om.omega11, om.omega22, om.omega12]) - goal, jac
 
     x = _newton(f, np.array([seed.tau1, seed.tau2, seed.eps]), newton_tol)
     return EpsPoint(complex(x[0]), complex(x[1]), complex(x[2]))

@@ -18,6 +18,7 @@ from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
     _comb_ratio,
+    eisenstein_dtau_range,
     eisenstein_range,
     weierstrass_range,
 )
@@ -92,6 +93,25 @@ class DetResult:
     reconciled: bool = True
 
 
+def _c_entries(table: list[complex], pw: list[complex], n: int) -> np.ndarray:
+    """pw[k+l]/sqrt(kl) (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) table[k+l] at even
+    k + l: A(k,l) from the E_k table, dA/dtau from the dE_k/dtau table."""
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(1, n + 1):
+        for l in range(k, n + 1):
+            if (k + l) % 2 == 0:
+                v = (pw[k + l] / math.sqrt(k * l)
+                     * (-1) ** (k + 1) * _comb_ratio(k, l) * table[k + l])
+                out[k - 1, l - 1] = v
+                out[l - 1, k - 1] = v
+    return out
+
+
+def _half_powers(param: complex, n: int, half_power_sign: int) -> list[complex]:
+    s = half_power_sign * cmath.sqrt(param)
+    return [s**j for j in range(n + 1)]
+
+
 def a_matrix(tau: complex, eps: complex, n: int,
              tol: SeriesTolerance = DEFAULT_TOL,
              half_power_sign: int = 1) -> MomentMatrix:
@@ -105,17 +125,54 @@ def a_matrix(tau: complex, eps: complex, n: int,
     if n < 1:
         raise InvalidArgumentError("order must be >= 1")
     eis = eisenstein_range(2 * n, tau, tol)
-    se = half_power_sign * cmath.sqrt(eps)
-    pw = [se**j for j in range(2 * n + 1)]
-    out = np.zeros((n, n), dtype=complex)
+    return MomentMatrix(n, _c_entries(eis, _half_powers(eps, 2 * n, half_power_sign), n))
+
+
+def a_matrix_dtau(tau: complex, eps: complex, n: int,
+                  tol: SeriesTolerance = DEFAULT_TOL,
+                  half_power_sign: int = 1) -> MomentMatrix:
+    """dA/dtau: A(k,l) with E_{k+l} replaced by dE_{k+l}/dtau.
+
+    dA/deps needs no table: it is the diagonal scaling A(k,l) (k+l)/(2 eps).
+    """
+    tau = require_tau(tau)
+    if n < 1:
+        raise InvalidArgumentError("order must be >= 1")
+    deis = eisenstein_dtau_range(2 * n, tau, tol)
+    return MomentMatrix(n, _c_entries(deis, _half_powers(eps, 2 * n, half_power_sign), n))
+
+
+def _r_entries(eis: list[complex], pks: list[complex], pw: list[complex],
+               n: int) -> np.ndarray:
+    """Flat R from the E_k and P_k(tau, w) tables (k <= 2n).
+
+    Block (2,2) is the transpose of block (1,1) and the off-diagonal blocks
+    are equal and symmetric, so R^T is R with the blocks swapped.
+    """
+    flat = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            if (k + l) % 2 == 0:
-                v = (pw[k + l] / math.sqrt(k * l)
-                     * (-1) ** (k + 1) * _comb_ratio(k, l) * eis[k + l])
-                out[k - 1, l - 1] = v
-                out[l - 1, k - 1] = v
-    return MomentMatrix(n, out)
+        for l in range(1, n + 1):
+            s = -pw[k + l] / math.sqrt(k * l)
+            dkl = (-1) ** (k + 1) * _comb_ratio(k, l) * pks[k + l]
+            dlk = (-1) ** (l + 1) * _comb_ratio(l, k) * pks[k + l]
+            ckl = ((-1) ** (k + 1) * _comb_ratio(k, l) * eis[k + l]
+                   if (k + l) % 2 == 0 else 0j)
+            flat[k - 1, l - 1] = s * dkl
+            flat[k - 1, n + l - 1] = s * ckl
+            flat[n + k - 1, l - 1] = s * ckl
+            flat[n + k - 1, n + l - 1] = s * dlk
+    return flat
+
+
+def _beta_entries(eis: list[complex], pks: list[complex], pw: list[complex],
+                  n: int) -> np.ndarray:
+    """Flat beta from the E_k and P_k(tau, w) tables (k <= n)."""
+    flat = np.zeros(2 * n, dtype=complex)
+    for k in range(1, n + 1):
+        base = pw[k] / math.sqrt(k) * (pks[k] - eis[k])
+        flat[k - 1] = -base
+        flat[n + k - 1] = (-1) ** k * base
+    return flat
 
 
 def r_matrix(tau: complex, w: complex, rho: complex, n: int,
@@ -131,21 +188,8 @@ def r_matrix(tau: complex, w: complex, rho: complex, n: int,
         raise InvalidArgumentError("order must be >= 1")
     eis = eisenstein_range(2 * n, tau, tol)
     pks = weierstrass_range(2 * n, tau, w, tol)
-    sr = half_power_sign * cmath.sqrt(rho)
-    pw = [sr**j for j in range(2 * n + 1)]
-    flat = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            s = -pw[k + l] / math.sqrt(k * l)
-            dkl = (-1) ** (k + 1) * _comb_ratio(k, l) * pks[k + l]
-            dlk = (-1) ** (l + 1) * _comb_ratio(l, k) * pks[k + l]
-            ckl = ((-1) ** (k + 1) * _comb_ratio(k, l) * eis[k + l]
-                   if (k + l) % 2 == 0 else 0j)
-            flat[k - 1, l - 1] = s * dkl
-            flat[k - 1, n + l - 1] = s * ckl
-            flat[n + k - 1, l - 1] = s * ckl
-            flat[n + k - 1, n + l - 1] = s * dlk
-    return BlockMomentMatrix(n, flat)
+    pw = _half_powers(rho, 2 * n, half_power_sign)
+    return BlockMomentMatrix(n, _r_entries(eis, pks, pw, n))
 
 
 def beta_vector(tau: complex, w: complex, rho: complex, n: int,
@@ -158,13 +202,31 @@ def beta_vector(tau: complex, w: complex, rho: complex, n: int,
     tau = require_tau(tau)
     eis = eisenstein_range(max(2, n), tau, tol)
     pks = weierstrass_range(n, tau, w, tol)
-    sr = half_power_sign * cmath.sqrt(rho)
-    flat = np.zeros(2 * n, dtype=complex)
-    for k in range(1, n + 1):
-        base = sr**k / math.sqrt(k) * (pks[k] - eis[k])
-        flat[k - 1] = -base
-        flat[n + k - 1] = (-1) ** k * base
-    return MomentVector(n, flat)
+    pw = _half_powers(rho, n, half_power_sign)
+    return MomentVector(n, _beta_entries(eis, pks, pw, n))
+
+
+def rho_moments_dw(tau: complex, w: complex, rho: complex, n: int,
+                   tol: SeriesTolerance = DEFAULT_TOL, half_power_sign: int = 1):
+    """(R, beta, dR/dw, dbeta/dw, P_1(tau, w)) from one E_k table and one
+    P_k table, using dP_k/dw = -k P_{k+1} (k >= 1).
+
+    dR/drho and dbeta/drho need no table: they are the diagonal scalings
+    R(k,l) (k+l)/(2 rho) and beta(k) k/(2 rho).  P_1 = d log K(tau, w)/dw.
+    """
+    tau = require_tau(tau)
+    if n < 1:
+        raise InvalidArgumentError("order must be >= 1")
+    eis = eisenstein_range(2 * n, tau, tol)
+    pks = weierstrass_range(2 * n + 1, tau, w, tol)
+    dpks = [0j] + [-k * pks[k + 1] for k in range(1, 2 * n + 1)]
+    no_eis = [0j] * (2 * n + 1)
+    pw = _half_powers(rho, 2 * n, half_power_sign)
+    return (BlockMomentMatrix(n, _r_entries(eis, pks, pw, n)),
+            MomentVector(n, _beta_entries(eis, pks, pw, n)),
+            BlockMomentMatrix(n, _r_entries(no_eis, dpks, pw, n)),
+            MomentVector(n, _beta_entries(no_eis, dpks, pw, n)),
+            pks[1])
 
 
 def sphere_moments(chi: complex, n: int,

@@ -23,10 +23,10 @@ from .elliptic import (
     eisenstein_q,
     prime_form,
 )
-from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
+from .epsilon import DomainCheck, EpsPoint, _complex_jacobian, _newton, invert_eps
 from .errors import BudgetError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
-from .moments import beta_vector, r_matrix, solve_id_minus
+from .moments import beta_vector, r_matrix, rho_moments_dw, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -108,24 +108,37 @@ def period_matrix_rho(p: RhoPoint, n: int = 12,
     2pi*i*Om22 = Log(-rho/K^2) + 2pi*i*branch - beta (I-R)^-1 beta_bar^T,
     where sigma sums block entries at (k,l) = (1,1).
     """
+    _require_rho_domain(p)
+    r = r_matrix(p.tau, p.w, p.rho, n, tol, half_power_sign)
+    beta = beta_vector(p.tau, p.w, p.rho, n, tol, half_power_sign)
+    return _rho_solve(p, r, beta, tol, half_power_sign)[0]
+
+
+def _require_rho_domain(p: RhoPoint) -> None:
     check = in_domain_rho(p)
     if not check.ok:
         raise DomainError(f"(tau, w, rho) outside D^rho, margin {check.margin:.3f}")
-    r = r_matrix(p.tau, p.w, p.rho, n, tol, half_power_sign)
-    beta = beta_vector(p.tau, p.w, p.rho, n, tol, half_power_sign)
-    rows = np.zeros((2 * n, 2), dtype=complex)
-    rows[0, 0] = 1.0       # unit vectors at (a, k=1)
-    rows[n, 1] = 1.0
-    cols = solve_id_minus(r.flat, rows)          # (I-R)^-1 e_(b,1)
-    sig11 = cols[0, 0] + cols[0, 1] + cols[n, 0] + cols[n, 1]
-    beta_inv = solve_id_minus(r.flat.T, beta.flat)  # beta (I-R)^-1 as column
-    sig_b1 = beta_inv @ rows[:, 0] + beta_inv @ rows[:, 1]
-    bbar = beta.barred().flat
+
+
+def _rho_solve(p: RhoPoint, r, beta, tol: SeriesTolerance, half_power_sign: int):
+    """Omega from one factorization of I - R, with the solutions
+    g = (I-R)^-1 u (u the sum of the unit vectors at k = 1) and
+    z = (I-R)^-1 beta_bar that its derivatives reuse.
+
+    R^T is R with its blocks swapped, so beta (I-R)^-1 is z with its blocks
+    swapped and needs no second solve.
+    """
+    n = r.order
+    rhs = np.zeros((2 * n, 2), dtype=complex)
+    rhs[0, 0] = rhs[n, 0] = 1.0
+    rhs[:, 1] = beta.barred().flat
+    sol = solve_id_minus(r.flat, rhs)
+    g, z = sol[:, 0], sol[:, 1]
     sr = half_power_sign * cmath.sqrt(p.rho)
-    om11 = TWO_PI_I * p.tau - p.rho * sig11
-    om12 = p.w - sr * sig_b1
-    om22 = _log_head(p, tol) - beta_inv @ bbar
-    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
+    om12 = p.w - sr * (beta.flat @ g)
+    om22 = _log_head(p, tol) - beta.flat @ z
+    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I), g, z
 
 
 def _rho_chain_weights(r, n_order: int, budget: int):
@@ -234,7 +247,7 @@ def l_action_rho(g: LElement, p: RhoPoint,
         raise InvalidArgumentError(
             f"branch transport failed to land on an integer: {shift}")
     img = RhoPoint(img.tau, img.w, img.rho, branch)
-    assert in_domain_rho(img).ok
+    _require_rho_domain(img)
     return img
 
 
@@ -280,6 +293,51 @@ def _chi_seed(target: PeriodMatrix) -> ChiPoint:
     return ChiPoint(target.omega11, w0, chi0)
 
 
+def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
+    """(F^chi(c), J) with J = d(Om11, Om12, Om22)/d(tau, w, chi).
+
+    The (w, chi) columns are closed-form, from the solutions of the one
+    factorization behind Omega: with G = (I-R)^-1, y = G^T beta and any
+    parameter s,
+    d sigma11 = (Pg).dR g,  d(beta G u) = dbeta.g + y.dR g,
+    d(beta G beta_bar) = 2 dbeta.z + y.dR z  (P swaps the blocks).
+    The tau column is a central difference of F^chi, since dP_k/dtau has no
+    closed form here.
+    """
+    p = c.rho_point()
+    _require_rho_domain(p)
+    r, beta, dr_dw, dbeta_dw, p1 = rho_moments_dw(p.tau, p.w, p.rho, n, tol)
+    omega, g, z = _rho_solve(p, r, beta, tol, 1)
+    kk = np.tile(np.arange(1, n + 1), 2)
+    dr_drho = r.flat * (kk[:, None] + kk[None, :]) / (2.0 * p.rho)
+    dbeta_drho = beta.flat * kk / (2.0 * p.rho)
+    pg = np.concatenate([g[n:], g[:n]])
+    y = np.concatenate([z[n:], z[:n]])
+
+    def partials(dr, dbeta):
+        return np.array([pg @ dr @ g, dbeta @ g + y @ dr @ g,
+                         2.0 * (dbeta @ z) + y @ dr @ z])
+
+    sr = cmath.sqrt(p.rho)
+    s_rho = partials(dr_drho, dbeta_drho)
+    s_w = partials(dr_dw.flat, dbeta_dw.flat)
+    # d(2pi*i Om11, 2pi*i Om12, 2pi*i Om22) at fixed tau, along rho and along w
+    d_rho = np.array([-(g[0] + g[n]) - p.rho * s_rho[0],
+                      -sr / (2.0 * p.rho) * (beta.flat @ g) - sr * s_rho[1],
+                      1.0 / p.rho - s_rho[2]])
+    d_w = np.array([-p.rho * s_w[0], 1.0 - sr * s_w[1], -2.0 * p1 - s_w[2]])
+    jac = np.empty((3, 3), dtype=complex)
+    jac[:, 1] = (d_w - 2.0 * c.w * c.chi * d_rho) / TWO_PI_I  # rho = -w^2 chi
+    jac[:, 2] = -c.w**2 * d_rho / TWO_PI_I
+
+    def forward(v):
+        om = chi_period(ChiPoint(*v), n, tol)
+        return np.array([om.omega11, om.omega12, om.omega22])
+
+    jac[:, :1] = _complex_jacobian(forward, np.array([c.tau, c.w, c.chi]), columns=[0])
+    return np.array([omega.omega11, omega.omega12, omega.omega22]), jac
+
+
 def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
                newton_tol: float = 1e-10, n: int = 12,
                tol: SeriesTolerance = DEFAULT_TOL) -> ChiPoint:
@@ -294,14 +352,14 @@ def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
         return ChiPoint(target.omega11, 0j, seed.chi)
     goal = np.array([target.omega11, target.omega12, target.omega22])
 
-    def f(v: np.ndarray) -> np.ndarray:
+    def f(v: np.ndarray):
         cp = ChiPoint(v[0], v[1], v[2])
         if not cp.tau.imag > 0.0:
             raise DomainError("tau left the upper half-plane")
         if not (0 < abs(cp.chi) < 0.25):
             raise DomainError("chi left the chart")
-        om = chi_period(cp, n, tol)
-        return np.array([om.omega11, om.omega12, om.omega22]) - goal
+        om, jac = _chi_period_jacobian(cp, n, tol)
+        return om - goal, jac
 
     x = _newton(f, np.array([seed.tau, seed.w, seed.chi]), newton_tol)
     return ChiPoint(complex(x[0]), complex(x[1]), complex(x[2]))

@@ -148,6 +148,18 @@ class TestExitCodes:
             main(["period-eps", "--tau1", "i"])  # missing required flags
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--formalism", "eps", "--omega11", "1.0001i",
+         "--omega12", "0.0159i", "--omega22", "2.0001i"],
+        ["invert", "--formalism", "chi", "--omega11", "1.0001i",
+         "--omega12", "0.0159i", "--omega22", "2.0001i"],
+        ["map-rho-to-eps", "--tau", "i", "--w", "0.05", "--chi", "0.05"]],
+        ids=["invert-eps", "invert-chi", "map-rho-to-eps"])
+    def test_series_budget_reaches_the_solvers(self, capsys, argv):
+        # one q-series term certifies nothing, as for period-eps
+        assert main(argv + ["--max-terms", "1"]) == 3
+        assert "not certified" in capsys.readouterr().err
+
     def test_tau_in_lower_half_plane_rejected(self, capsys):
         code = main(["eisenstein", "--k", "4", "--tau=-i"])
         assert code == 3 or code == 1  # InvalidArgument surfaces as SewingError

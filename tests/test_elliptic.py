@@ -17,6 +17,7 @@ from g2sew import (
     PoleError,
     RangeOverflowError,
     SeriesTolerance,
+    SewingError,
     ToleranceError,
     bernoulli,
     c_coeff,
@@ -159,6 +160,30 @@ class TestEisenstein:
         with pytest.raises(InvalidArgumentError):
             eisenstein(4, 1.0 - 2.0j)
 
+    @pytest.mark.parametrize("tau", [1j, 0.31 + 0.87j])
+    def test_dtau_table_matches_central_difference(self, tau):
+        h = 1e-6
+        d = elliptic.eisenstein_dtau_range(48, tau)
+        plus = eisenstein_range(48, tau + h)
+        minus = eisenstein_range(48, tau - h)
+        for k in range(2, 49, 2):
+            fd = (plus[k] - minus[k]) / (2 * h)
+            assert abs(fd - d[k]) < 1e-7 * abs(d[k])
+        assert all(d[k] == 0 for k in range(1, 49, 2))
+
+    @pytest.mark.parametrize("call", [lambda: eisenstein(390, 1j),
+                                      lambda: eisenstein_range(400, 0.3j)[400],
+                                      lambda: eisenstein(400, 0.05j)],
+                             ids=["w390", "range400", "w400-near-real"])
+    def test_high_weight_finite_or_typed_error(self, call):
+        # from weight ~388 the constant term -B_k/k! underflows; the tail
+        # test must neither take log(0) nor let an overflow escape untyped
+        try:
+            value = call()
+        except SewingError:
+            return
+        assert cmath.isfinite(value)
+
 
 class TestLattice:
     def test_min_square_lattice(self):
@@ -223,6 +248,25 @@ class TestWeierstrass:
             fd = (weierstrass_p(k, tau, z + h) - weierstrass_p(k, tau, z - h)) / (2 * h)
             target = weierstrass_p(k + 1, tau, z)
             assert abs(-fd / k - target) < 1e-6 * max(1.0, abs(target))
+
+    @pytest.mark.parametrize("z, laurent", [
+        (1.0 + 0.5j, True), (2.5 + 2.5j, False),
+        (1.0 + 0.5j + TWO_PI_I * (0.2 + 1.1j), True)],
+        ids=["laurent", "qz", "laurent-shifted"])
+    def test_w_derivatives_of_p_and_log_prime_form(self, z, laurent):
+        # the rho chart's Jacobian uses dP_k/dw = -k P_(k+1) through k = 2n
+        # and d log K/dw = P_1, quasi-period correction included
+        tau, h = 0.2 + 1.1j, 1e-5
+        assert laurent == (abs(reduce_mod_lattice(tau, z)[0]) < 0.5 * lattice_min(tau))
+        pk = weierstrass_range(25, tau, z)
+        plus = weierstrass_range(24, tau, z + h)
+        minus = weierstrass_range(24, tau, z - h)
+        for k in range(1, 25):
+            fd = (plus[k] - minus[k]) / (2 * h)
+            assert abs(fd + k * pk[k + 1]) < 1e-6 * max(1.0, abs(k * pk[k + 1]))
+        dlog_k = ((prime_form(tau, z + h) - prime_form(tau, z - h)) / (2 * h)
+                  / prime_form(tau, z))
+        assert abs(dlog_k - pk[1]) < 1e-8
 
     def test_p3_at_i_finite_difference_oracle(self):
         tau, z = 1j, 1.0

@@ -3,6 +3,9 @@ G-action, equivariance, Newton inversion."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from g2sew import (
     EpsPoint,
     GElement,
     PeriodMatrix,
+    RhoPoint,
     SL2_S,
     SL2_T,
     bilinear_form_eps,
@@ -47,6 +51,11 @@ def random_points(n, margin_max=0.25):
         pts.append(EpsPoint(tau1, tau2, r * cmath.exp(1j * phi)))
     return pts
 
+
+# inside D^eps by one rounding step; its image under S is not
+EDGE_POINT = EpsPoint(-0.39777284188995177 + 1.122200742523469j,
+                      -0.47767788897867614 + 1.354682294867849j,
+                      9.14591553093825 - 3.709625336195679j)
 
 GENERATORS = {
     "T1": GElement("gamma1", SL2_T),
@@ -217,6 +226,32 @@ class TestGroupAction:
         assert abs(q.tau1 - 1j) < 1e-15
         assert abs(q.eps - 0.1 / 1j) < 1e-16
 
+    def test_image_leaving_domain_raises_domain_error(self):
+        # margin 1 - 2e-16 maps to margin 1.0 under S by rounding alone
+        with pytest.raises(DomainError):
+            g_action_eps(GElement("gamma1", SL2_S), EDGE_POINT)
+
+    def test_domain_guards_survive_optimisation(self):
+        # the guards of both group actions are real checks, so python -O
+        # keeps them; the rho point sits on its domain's edge the same way
+        rho_edge = RhoPoint(0.21412948361120254 + 1.450292160577841j,
+                            -0.6302195759955365 + 1.8054526259113697j,
+                            -0.8594218717535977 + 0.3117243904168962j)
+        code = (
+            "from g2sew import *\n"
+            f"for act, el, p in [(g_action_eps, GElement('gamma1', SL2_S), {EDGE_POINT!r}),\n"
+            f"                   (l_action_rho, LElement('gamma1', mat=SL2_S), {rho_edge!r})]:\n"
+            "    try:\n"
+            "        act(el, p)\n"
+            "    except DomainError:\n"
+            "        print('DomainError')\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["DomainError", "DomainError"]
+
     def test_sp4_identity(self):
         om = PeriodMatrix(1j, 0.1 + 0.02j, 2j)
         ident = GElement("gamma1", ((1, 0), (0, 1)))
@@ -295,21 +330,40 @@ class TestInversion:
         assert np.max(np.abs(ref[0::2, 0::2] + 1j * ref[1::2, 0::2] - jac)) < 1e-7 * scale
         assert np.max(np.abs(ref[0::2, 1::2] + 1j * ref[1::2, 1::2] - 1j * jac)) < 1e-7 * scale
 
-    def test_newton_step_costs_2m_evaluations_plus_line_search(self):
-        # z^2 = 4 from z = 1 in each of m = 3 coordinates: the full step
-        # lands on 2.5, outside the |z| <= 2.2 guard, so the line search
-        # evaluates twice (lam = 1 rejected, lam = 1/2 accepted)
+    @pytest.mark.parametrize("tau1, tau2, margin", [
+        (1j, 2j, 0.3), (1.37 + 0.31j, 0.45 + 0.9j, 0.5), (0.3 + 0.96j, -0.2 + 1.3j, 0.9)],
+        ids=["fundamental-domain", "skewed", "margin-0.9"])
+    def test_closed_form_jacobian_matches_central_difference(self, tau1, tau2, margin):
+        bound = 0.25 * lattice_min(tau1) * lattice_min(tau2)
+        x0 = np.array([tau1, tau2, margin * bound * cmath.exp(0.7j)])
+
+        def f(v):
+            om = period_matrix_eps(EpsPoint(*v), 16)
+            return np.array([om.omega11, om.omega22, om.omega12])
+
+        om, jac = eps_mod._period_eps(EpsPoint(*x0), 16, eps_mod.DEFAULT_TOL,
+                                      jacobian=True)
+        assert np.array_equal(f(x0), [om.omega11, om.omega22, om.omega12])
+        ref = eps_mod._complex_jacobian(f, x0)
+        assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    def test_newton_step_costs_one_evaluation_per_line_search_trial(self):
+        # z^2 = 4 from z = 1 in each of m = 3 coordinates, the objective
+        # returning its Jacobian 2z with the residual: the full step lands
+        # on 2.5, outside the |z| <= 2.2 guard, so the step costs two calls
+        # (lam = 1 rejected, lam = 1/2 accepted) and its Jacobian none
         calls = []
 
         def f(v):
             calls.append(v.copy())
             if np.max(np.abs(v)) > 2.2:
                 raise DomainError("outside the guard")
-            return v**2 - 4.0
+            return v**2 - 4.0, np.diag(2.0 * v)
 
         with pytest.raises(ConvergenceError):
             eps_mod._newton(f, np.ones(3, dtype=complex), 1e-12, max_iter=1)
-        assert len(calls) == 1 + 2 * 3 + 2
+        assert len(calls) == 1 + 2
+        assert np.allclose(calls[1], 2.5)
         assert np.allclose(calls[-1], 1.75)
 
     def test_jacobian_determinant_at_degeneration(self):

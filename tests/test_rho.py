@@ -25,13 +25,15 @@ from g2sew import (
     in_domain_rho,
     invert_chi,
     l_action_rho,
+    lattice_distance,
+    lattice_min,
     necklace_period_rho,
     period_matrix_rho,
     prime_form,
     weierstrass_p,
 )
 from g2sew import rho as rho_mod
-from g2sew.epsilon import in_domain_eps
+from g2sew.epsilon import _complex_jacobian, in_domain_eps
 from g2sew.lattice import TWO_PI_I
 
 SAMPLE_POINTS = [
@@ -189,6 +191,15 @@ class TestLAction:
         assert abs(q.w - p.w / 1j) < 1e-15
         assert abs(q.rho - p.rho / (1j * 1j)) < 1e-15
 
+    def test_image_leaving_domain_raises_domain_error(self):
+        # margin 1 - 1e-16 maps to margin 1.0 under S by rounding alone
+        p = RhoPoint(0.21412948361120254 + 1.450292160577841j,
+                     -0.6302195759955365 + 1.8054526259113697j,
+                     -0.8594218717535977 + 0.3117243904168962j)
+        assert in_domain_rho(p).ok
+        with pytest.raises(DomainError):
+            l_action_rho(LElement("gamma1", mat=SL2_S), p)
+
     def test_heisenberg_relation_integer_exact(self):
         # A.B = (B.A).C^2 as transformations of (w, branch)
         a = LElement("mu", (1, 0, 0))
@@ -257,6 +268,29 @@ class TestInversion:
         assert abs(cc.tau - c.tau) < 1e-9
         assert abs(cc.w - c.w) < 1e-9
         assert abs(cc.chi - c.chi) < 1e-9
+
+    @pytest.mark.parametrize("tau, w, chi, margin", [
+        (1j, 0.3, 0.05, None),
+        (0.0583 + 0.3004j, 0.4 * cmath.exp(0.5j), 0.05 * cmath.exp(1j), None),
+        (0.4 + 0.95j, 2.5 + 1.0j, None, 0.9)],
+        ids=["fundamental-domain", "skewed", "margin-0.9-qz-route"])
+    def test_closed_form_jacobian_matches_central_difference(self, tau, w, chi, margin):
+        if chi is None:
+            bound = min(lattice_distance(tau, w), lattice_min(tau))
+            chi = -(0.5 * margin * bound) ** 2 * cmath.exp(0.4j) / w**2
+        c = ChiPoint(tau, w, chi)
+        if margin is not None:
+            assert in_domain_rho(c.rho_point()).margin == pytest.approx(margin)
+        x0 = np.array([tau, w, chi])
+
+        def f(v):
+            om = chi_period(ChiPoint(*v), 12)
+            return np.array([om.omega11, om.omega12, om.omega22])
+
+        val, jac = rho_mod._chi_period_jacobian(c, 12, rho_mod.DEFAULT_TOL)
+        assert np.max(np.abs(val - f(x0))) < 1e-13
+        ref = _complex_jacobian(f, x0)
+        assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
 
     def test_jacobian_determinant_near_degeneration(self):
         # |det d(Om11,Om12,Om22)/d(tau,w,chi)| -> 1/(4 pi^2 chi) as w -> 0
