@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, UnassignedGeneratorError
+from .errors import InvalidArgumentError, SewingError, UnassignedGeneratorError
 
 # generator kinds, in canonical display order
 _KIND_ORDER = {"TAU": 0, "W": 1, "LOG": 2, "E": 3, "F": 4, "P": 5}
@@ -230,8 +230,8 @@ def symbolic_period_eps(max_order: int = 9):
     s11 = GradedPoly.generator("TAU", 1) + eps1.mul(om11, max_pow2)
     s22 = GradedPoly.generator("TAU", 2) + eps1.mul(om22, max_pow2)
     s12 = eps1.mul(om12, max_pow2).scale(-1)
-    for s in (s11, s12, s22):
-        assert s.has_integer_powers(), "half powers must cancel"
+    if not all(s.has_integer_powers() for s in (s11, s12, s22)):
+        raise SewingError("half powers must cancel")
     return s11, s12, s22
 
 
@@ -303,8 +303,8 @@ def symbolic_period_rho(max_order: int = 4):
     s11 = GradedPoly.generator("TAU", 0) + rho1.mul(om11, max_pow2).scale(-1)
     s12 = GradedPoly.generator("W", 0) + rho_half.mul(om_b1, max_pow2).scale(-1)
     s22 = GradedPoly.generator("LOG", 0) - om_bb.truncate(max_pow2)
-    for s in (s11, s12, s22):
-        assert s.has_integer_powers(), "half powers must cancel"
+    if not all(s.has_integer_powers() for s in (s11, s12, s22)):
+        raise SewingError("half powers must cancel")
     return s11, s12, s22
 
 

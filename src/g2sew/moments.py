@@ -9,6 +9,7 @@ pair (a,k) to index (a-1)*N + (k-1).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,166 +94,139 @@ class DetResult:
     reconciled: bool = True
 
 
-def _c_entries(table: list[complex], pw: list[complex], n: int) -> np.ndarray:
-    """pw[k+l]/sqrt(kl) (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) table[k+l] at even
-    k + l: A(k,l) from the E_k table, dA/dtau from the dE_k/dtau table."""
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            if (k + l) % 2 == 0:
-                v = (pw[k + l] / math.sqrt(k * l)
-                     * (-1) ** (k + 1) * _comb_ratio(k, l) * table[k + l])
-                out[k - 1, l - 1] = v
-                out[l - 1, k - 1] = v
-    return out
+@functools.lru_cache(maxsize=32)
+def _kernel_coeffs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!)/sqrt(kl) and the weight k + l for
+    k, l = 1..n, read-only and kept for the 32 orders used last."""
+    coef = np.array([[(-1) ** (k + 1) * _comb_ratio(k, l) / math.sqrt(k * l)
+                      for l in range(1, n + 1)] for k in range(1, n + 1)])
+    kk = np.arange(1, n + 1)
+    weight = kk[:, None] + kk[None, :]
+    coef.setflags(write=False)
+    weight.setflags(write=False)
+    return coef, weight
 
 
-def _half_powers(param: complex, n: int, half_power_sign: int) -> list[complex]:
-    s = half_power_sign * cmath.sqrt(param)
-    return [s**j for j in range(n + 1)]
+def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
+    """Diagonal of S(param): (half_power_sign * param^(1/2))^k, k = 1..n.
+
+    half_power_sign = -1 replaces the principal param^(1/2) by its negative
+    (used by branch-flip invariance checks; all physical outputs carry
+    integer powers and are unaffected).
+    """
+    if n < 1:
+        raise InvalidArgumentError("order must be >= 1")
+    return (half_power_sign * cmath.sqrt(param)) ** np.arange(1, n + 1)
+
+
+def _sks(table, s: np.ndarray) -> np.ndarray:
+    """S K(table) S, with the kernel
+    K(table)[k,l] = (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) table[k+l]/sqrt(kl)
+    for k, l = 1..n = len(s), from a table indexed by weight through 2n.
+
+    K(E) carries C(k,l,tau)/sqrt(kl) and K(P) carries D(k,l,tau,w)/sqrt(kl).
+    """
+    coef, weight = _kernel_coeffs(len(s))
+    return coef * np.asarray(table)[weight] * np.outer(s, s)
+
+
+def _rho_pair(eis, pks, s: np.ndarray) -> tuple[BlockMomentMatrix, MomentVector]:
+    """R = -S2 [[K(P), K(E)], [K(E), K(P)^T]] S2 with S2 = (S, S), and
+    beta = S/sqrt(k) (P_k - E_k) (x) [-1, (-1)^k], from E and P tables
+    reaching weight 2n.
+
+    R^T is R with its blocks swapped.
+    """
+    n = len(s)
+    eis, pks = np.asarray(eis), np.asarray(pks)
+    d, c = _sks(pks, s), _sks(eis, s)
+    kk = np.arange(1, n + 1)
+    base = s / np.sqrt(kk) * (pks[1:n + 1] - eis[1:n + 1])
+    return (BlockMomentMatrix(n, -np.block([[d, c], [c, d.T]])),
+            MomentVector(n, np.concatenate([-base, (-1.0) ** kk * base])))
 
 
 def a_matrix(tau: complex, eps: complex, n: int,
              tol: SeriesTolerance = DEFAULT_TOL,
              half_power_sign: int = 1) -> MomentMatrix:
-    """Torus moment matrix A(k,l) = eps^((k+l)/2)/sqrt(kl) * C(k,l,tau).
-
-    half_power_sign = -1 replaces the principal eps^(1/2) by its negative
-    (used by branch-flip invariance checks; all physical outputs carry
-    integer powers and are unaffected).
-    """
+    """Torus moment matrix A(k,l) = eps^((k+l)/2)/sqrt(kl) * C(k,l,tau),
+    that is S(eps) K(E) S(eps)."""
     tau = require_tau(tau)
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
-    eis = eisenstein_range(2 * n, tau, tol)
-    return MomentMatrix(n, _c_entries(eis, _half_powers(eps, 2 * n, half_power_sign), n))
+    s = _scaling(eps, n, half_power_sign)
+    return MomentMatrix(n, _sks(eisenstein_range(2 * n, tau, tol), s))
 
 
 def a_matrix_dtau(tau: complex, eps: complex, n: int,
                   tol: SeriesTolerance = DEFAULT_TOL,
                   half_power_sign: int = 1) -> MomentMatrix:
-    """dA/dtau: A(k,l) with E_{k+l} replaced by dE_{k+l}/dtau.
+    """dA/dtau = S(eps) K(dE/dtau) S(eps).
 
     dA/deps needs no table: it is the diagonal scaling A(k,l) (k+l)/(2 eps).
     """
     tau = require_tau(tau)
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
-    deis = eisenstein_dtau_range(2 * n, tau, tol)
-    return MomentMatrix(n, _c_entries(deis, _half_powers(eps, 2 * n, half_power_sign), n))
+    s = _scaling(eps, n, half_power_sign)
+    return MomentMatrix(n, _sks(eisenstein_dtau_range(2 * n, tau, tol), s))
 
 
-def _r_entries(eis: list[complex], pks: list[complex], pw: list[complex],
-               n: int) -> np.ndarray:
-    """Flat R from the E_k and P_k(tau, w) tables (k <= 2n).
+def rho_moments(tau: complex, w: complex, rho: complex, n: int,
+                tol: SeriesTolerance = DEFAULT_TOL,
+                half_power_sign: int = 1) -> tuple[BlockMomentMatrix, MomentVector]:
+    """(R, beta) of the rho-formalism from one E_k table and one P_k(tau, w)
+    table (k <= 2n).
 
-    Block (2,2) is the transpose of block (1,1) and the off-diagonal blocks
-    are equal and symmetric, so R^T is R with the blocks swapped.
+    R_ab(k,l) = -rho^((k+l)/2)/sqrt(kl) times D(k,l,tau,w) on block (1,1),
+    D(l,k,tau,w) on block (2,2) and C(k,l,tau) off the diagonal;
+    beta_a(k) = rho^(k/2)/sqrt(k) (P_k(tau,w) - E_k(tau)) * [-1, (-1)^k]
+    (P_1 has no Eisenstein term).
     """
-    flat = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            s = -pw[k + l] / math.sqrt(k * l)
-            dkl = (-1) ** (k + 1) * _comb_ratio(k, l) * pks[k + l]
-            dlk = (-1) ** (l + 1) * _comb_ratio(l, k) * pks[k + l]
-            ckl = ((-1) ** (k + 1) * _comb_ratio(k, l) * eis[k + l]
-                   if (k + l) % 2 == 0 else 0j)
-            flat[k - 1, l - 1] = s * dkl
-            flat[k - 1, n + l - 1] = s * ckl
-            flat[n + k - 1, l - 1] = s * ckl
-            flat[n + k - 1, n + l - 1] = s * dlk
-    return flat
-
-
-def _beta_entries(eis: list[complex], pks: list[complex], pw: list[complex],
-                  n: int) -> np.ndarray:
-    """Flat beta from the E_k and P_k(tau, w) tables (k <= n)."""
-    flat = np.zeros(2 * n, dtype=complex)
-    for k in range(1, n + 1):
-        base = pw[k] / math.sqrt(k) * (pks[k] - eis[k])
-        flat[k - 1] = -base
-        flat[n + k - 1] = (-1) ** k * base
-    return flat
+    tau = require_tau(tau)
+    s = _scaling(rho, n, half_power_sign)
+    return _rho_pair(eisenstein_range(2 * n, tau, tol),
+                     weierstrass_range(2 * n, tau, w, tol), s)
 
 
 def r_matrix(tau: complex, w: complex, rho: complex, n: int,
              tol: SeriesTolerance = DEFAULT_TOL,
              half_power_sign: int = 1) -> BlockMomentMatrix:
-    """Self-sewing block moment matrix R_ab(k,l) of the rho-formalism.
-
-    Diagonal blocks carry D(k,l,tau,w) and D(l,k,tau,w); off-diagonal blocks
-    carry C(k,l,tau); the overall minus sign is included.
-    """
-    tau = require_tau(tau)
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
-    eis = eisenstein_range(2 * n, tau, tol)
-    pks = weierstrass_range(2 * n, tau, w, tol)
-    pw = _half_powers(rho, 2 * n, half_power_sign)
-    return BlockMomentMatrix(n, _r_entries(eis, pks, pw, n))
+    """Self-sewing block moment matrix R of ``rho_moments``."""
+    return rho_moments(tau, w, rho, n, tol, half_power_sign)[0]
 
 
 def beta_vector(tau: complex, w: complex, rho: complex, n: int,
                 tol: SeriesTolerance = DEFAULT_TOL,
                 half_power_sign: int = 1) -> MomentVector:
-    """beta_a(k) = rho^(k/2)/sqrt(k) (P_k(tau,w) - E_k(tau)) * [-1, (-1)^k].
-
-    There is no k = 1 Eisenstein term (the P_1 series has none).
-    """
-    tau = require_tau(tau)
-    eis = eisenstein_range(max(2, n), tau, tol)
-    pks = weierstrass_range(n, tau, w, tol)
-    pw = _half_powers(rho, n, half_power_sign)
-    return MomentVector(n, _beta_entries(eis, pks, pw, n))
+    """Self-sewing moment vector beta of ``rho_moments``."""
+    return rho_moments(tau, w, rho, n, tol, half_power_sign)[1]
 
 
 def rho_moments_dw(tau: complex, w: complex, rho: complex, n: int,
                    tol: SeriesTolerance = DEFAULT_TOL, half_power_sign: int = 1):
     """(R, beta, dR/dw, dbeta/dw, P_1(tau, w)) from one E_k table and one
-    P_k table, using dP_k/dw = -k P_{k+1} (k >= 1).
+    P_k table: the derivatives are R and beta with dP_k/dw = -k P_{k+1} in
+    place of P_k and 0 in place of E_k.
 
     dR/drho and dbeta/drho need no table: they are the diagonal scalings
     R(k,l) (k+l)/(2 rho) and beta(k) k/(2 rho).  P_1 = d log K(tau, w)/dw.
     """
     tau = require_tau(tau)
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
+    s = _scaling(rho, n, half_power_sign)
     eis = eisenstein_range(2 * n, tau, tol)
-    pks = weierstrass_range(2 * n + 1, tau, w, tol)
-    dpks = [0j] + [-k * pks[k + 1] for k in range(1, 2 * n + 1)]
-    no_eis = [0j] * (2 * n + 1)
-    pw = _half_powers(rho, 2 * n, half_power_sign)
-    return (BlockMomentMatrix(n, _r_entries(eis, pks, pw, n)),
-            MomentVector(n, _beta_entries(eis, pks, pw, n)),
-            BlockMomentMatrix(n, _r_entries(no_eis, dpks, pw, n)),
-            MomentVector(n, _beta_entries(no_eis, dpks, pw, n)),
-            pks[1])
+    pks = np.asarray(weierstrass_range(2 * n + 1, tau, w, tol))
+    dpks = np.zeros(2 * n + 1, dtype=complex)
+    dpks[1:] = -np.arange(1, 2 * n + 1) * pks[2:]
+    return (*_rho_pair(eis, pks, s), *_rho_pair(np.zeros(2 * n + 1), dpks, s),
+            complex(pks[1]))
 
 
 def sphere_moments(chi: complex, n: int,
                    half_power_sign: int = 1) -> tuple[BlockMomentMatrix, MomentVector]:
-    """Genus-zero self-sewing data: R^(0) with A^(0) = 0 and the stated
-    B^(0), plus beta^(0).  Valid for 0 < |chi| < 1/4."""
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
+    """Genus-zero self-sewing data: R^(0) with A^(0) = 0 and
+    B^(0) = S K(1) S, S = S(-chi), plus beta^(0): the rho-formalism pair
+    with P_k = 1 and E_k = 0.  Valid for 0 < |chi| < 1/4."""
+    s = _scaling(-chi, n, half_power_sign)
     if not 0 < abs(chi) < 0.25:
         raise DomainError(f"sphere moments need 0 < |chi| < 1/4, got {abs(chi)}")
-    sc = half_power_sign * cmath.sqrt(-chi)
-    pw = [sc**j for j in range(2 * n + 1)]
-    b = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            b[k - 1, l - 1] = (pw[k + l] / math.sqrt(k * l)
-                               * (-1) ** (k + 1) * _comb_ratio(k, l))
-    flat = np.zeros((2 * n, 2 * n), dtype=complex)
-    flat[:n, :n] = -b
-    flat[n:, n:] = -b.T
-    vec = np.zeros(2 * n, dtype=complex)
-    for k in range(1, n + 1):
-        base = pw[k] / math.sqrt(k)
-        vec[k - 1] = -base
-        vec[n + k - 1] = (-1) ** k * base
-    return BlockMomentMatrix(n, flat), MomentVector(n, vec)
+    return _rho_pair(np.zeros(2 * n + 1), np.ones(2 * n + 1), s)
 
 
 def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -277,20 +251,18 @@ def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def x_blocks(a1: MomentMatrix, a2: MomentMatrix):
     """X_aa = A_a (I - A_abar A_a)^-1 and X_a,abar = I - (I - A_a A_abar)^-1.
 
-    Returns (X11, X12, X21, X22) as plain arrays.
+    One solve G = (I - A1 A2)^-1 gives all four by the push-through
+    identities, which hold for any A1, A2: X11 = G A1, X22 = A2 G,
+    X12 = I - G, X21 = -A2 G A1.  Returns (X11, X12, X21, X22) as plain
+    arrays.
     """
     if a1.order != a2.order:
         raise InvalidArgumentError("incompatible moment-matrix orders")
-    n = a1.order
     m1, m2 = a1.entries, a2.entries
-    eye = np.eye(n, dtype=complex)
-    inv_12 = solve_id_minus(m1 @ m2, eye)   # (I - A1 A2)^-1
-    inv_21 = solve_id_minus(m2 @ m1, eye)   # (I - A2 A1)^-1
-    x11 = m1 @ inv_21
-    x22 = m2 @ inv_12
-    x12 = eye - inv_12
-    x21 = eye - inv_21
-    return x11, x12, x21, x22
+    eye = np.eye(a1.order, dtype=complex)
+    g = solve_id_minus(m1 @ m2, eye)
+    x11 = g @ m1
+    return x11, eye - g, -(m2 @ x11), m2 @ g
 
 
 def _lu_log_det(m: np.ndarray) -> tuple[complex, complex]:

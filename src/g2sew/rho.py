@@ -20,17 +20,15 @@ from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
     eisenstein,
-    eisenstein_q,
     prime_form,
 )
+from . import epsilon
 from .epsilon import DomainCheck, EpsPoint, _complex_jacobian, _newton, invert_eps
 from .errors import BudgetError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
-from .moments import beta_vector, r_matrix, rho_moments_dw, solve_id_minus
+from .moments import rho_moments, rho_moments_dw, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
-
-_NECKLACE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ def period_matrix_rho(p: RhoPoint, n: int = 12,
     where sigma sums block entries at (k,l) = (1,1).
     """
     _require_rho_domain(p)
-    r = r_matrix(p.tau, p.w, p.rho, n, tol, half_power_sign)
-    beta = beta_vector(p.tau, p.w, p.rho, n, tol, half_power_sign)
+    r, beta = rho_moments(p.tau, p.w, p.rho, n, tol, half_power_sign)
     return _rho_solve(p, r, beta, tol, half_power_sign)[0]
 
 
@@ -145,6 +142,7 @@ def _rho_chain_weights(r, n_order: int, budget: int):
     """Yield ((k0,a0), (k1,a1), weight) over necklace chains whose total
     parameter exponent fits the budget; single nodes yield weight 1."""
     count = 0
+    limit = epsilon._NECKLACE_BUDGET  # one budget for both necklace routes
     for a0 in (1, 2):
         for k0 in range(1, budget + 1):
             yield (k0, a0), (k0, a0), 1.0 + 0j  # degenerate necklace
@@ -162,7 +160,7 @@ def _rho_chain_weights(r, n_order: int, budget: int):
                 if spent + cost2 > 2 * budget:
                     break
                 count += 1
-                if count > _NECKLACE_BUDGET:
+                if count > limit:
                     raise BudgetError("necklace enumeration budget exceeded")
                 w = weight * entry(cur, (l, b))
                 if w != 0:
@@ -182,14 +180,11 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
     """Necklace-sum evaluation of the self-sewing period matrix, exact in
     rho through max_rho_order; agrees with the matrix route to
     O(rho^(max_rho_order+1))."""
-    check = in_domain_rho(p)
-    if not check.ok:
-        raise DomainError(f"point outside D^rho, margin {check.margin:.3f}")
+    _require_rho_domain(p)
     if max_rho_order < 1:
         raise InvalidArgumentError("max_rho_order must be >= 1")
     n = max_rho_order
-    r = r_matrix(p.tau, p.w, p.rho, n, tol)
-    beta = beta_vector(p.tau, p.w, p.rho, n, tol)
+    r, beta = rho_moments(p.tau, p.w, p.rho, n, tol)
     bbar = beta.barred()
 
     def beta_at(ka):
@@ -227,9 +222,7 @@ def l_action_rho(g: LElement, p: RhoPoint,
     cocycle and shifts the lifted log by -c1 w^2 / (2pi*i (c1 tau + d1)).
     The integer branch of the image realizes those laws exactly.
     """
-    check = in_domain_rho(p)
-    if not check.ok:
-        raise DomainError("point outside D^rho")
+    _require_rho_domain(p)
     head = _log_head(p, tol)
     if g.kind == "mu":
         a, b, c = g.abc
@@ -270,7 +263,7 @@ def degeneration_period(c: ChiPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Peri
     if not abs(c.chi) < 0.25:
         raise DomainError("degeneration chart needs |chi| < 1/4")
     f = catalan_f(c.chi, tol)
-    g = catalan_g(c.chi, tol=tol)
+    g = catalan_g(c.chi)
     e2 = eisenstein(2, c.tau, tol)
     w2 = c.w * c.w
     fac = 1.0 - 4.0 * c.chi

@@ -109,8 +109,7 @@ def torus_modulus_simple(q: complex, n: int = 30) -> dict:
     return report
 
 
-def torus_modulus_catalan(chi: complex, n: int = 20,
-                          tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+def torus_modulus_catalan(chi: complex, n: int = 20) -> complex:
     """Torus nome q from the generic self-sewing pipeline on sphere data.
 
     2pi*i*tau = Log(chi) - beta (I - R)^-1 beta_bar^T with the genus-zero
@@ -125,8 +124,7 @@ def torus_modulus_catalan(chi: complex, n: int = 20,
     return cmath.exp(two_pi_i_tau)
 
 
-def e2_from_catalan(chi: complex, n: int = 24,
-                    tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+def e2_from_catalan(chi: complex, n: int = 24) -> complex:
     """E_2 at q = f(chi) from the Catalan sewing data:
     -1/12 + (2chi/(1-4chi)) (I + B0)^-1 (1,1)."""
     chi = complex(chi)
@@ -140,10 +138,9 @@ def e2_from_catalan(chi: complex, n: int = 24,
     return -1.0 / 12.0 + 2.0 * chi / (1.0 - 4.0 * chi) * inv_col[0]
 
 
-def catalan_g(chi: complex, n: int = 24,
-              tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+def catalan_g(chi: complex, n: int = 24) -> complex:
     """G(chi) = 1/12 + E_2(q = f(chi)), the degeneration coefficient."""
-    return 1.0 / 12.0 + e2_from_catalan(chi, n, tol)
+    return 1.0 / 12.0 + e2_from_catalan(chi, n)
 
 
 def sphere_attach_check(tau: complex, eps: complex, n: int = 12) -> dict:
@@ -168,10 +165,10 @@ def catalan_report(chi: complex, n: int = 24,
     """Bundle of the Catalan-suite identities for the CLI."""
     chi = complex(chi)
     f = catalan_f(chi, tol)
-    q_comp = torus_modulus_catalan(chi, n, tol)
+    q_comp = torus_modulus_catalan(chi, n)
     tau = cmath.log(f) / TWO_PI_I
     e2_direct = eisenstein_q(2, f, tol)
-    e2_cat = e2_from_catalan(chi, n, tol)
+    e2_cat = e2_from_catalan(chi, n)
     return {
         "f": f,
         "q_computed": q_comp,

@@ -139,6 +139,11 @@ class TestExitCodes:
         assert main(["period-eps", "--tau1", "i", "--tau2", "i",
                      "--eps", "50"]) == 2
 
+    def test_rho_domain_rejection_is_2(self, capsys):
+        assert main(["period-rho", "--tau", "i", "--w", "1+0.8i",
+                     "--rho", "5"]) == 2
+        assert "outside D^rho" in capsys.readouterr().err
+
     def test_parse_error_is_1(self, capsys):
         assert main(["period-eps", "--tau1", "bogus", "--tau2", "i",
                      "--eps", "0.1"]) == 1

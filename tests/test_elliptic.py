@@ -184,6 +184,23 @@ class TestEisenstein:
             return
         assert cmath.isfinite(value)
 
+    def test_lattice_bound_holds(self):
+        # the z-Laurent tail certificates of P_k and the prime form assume
+        # |E_k| D^k <= _EISEN_LATTICE_BOUND; check it on fundamental-domain
+        # and on skewed, near-real tori
+        rng = np.random.default_rng(4040)
+        worst = 0.0
+        for i in range(200):
+            if i < 100:
+                x = rng.uniform(-0.5, 0.5)
+                tau = complex(x, rng.uniform(math.sqrt(1.0 - x * x), 3.0))
+            else:
+                tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 0.6))
+            d = lattice_min(tau)
+            eis = eisenstein_range(40, tau)
+            worst = max(worst, max(abs(eis[k]) * d**k for k in range(2, 41, 2)))
+        assert worst <= elliptic._EISEN_LATTICE_BOUND
+
 
 class TestLattice:
     def test_min_square_lattice(self):

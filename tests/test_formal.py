@@ -3,6 +3,9 @@ swap symmetry, numeric consistency, evaluation."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,3 +295,22 @@ class TestSerialization:
         assert terms[0]["monomial"] == {"log(-rho/K^2)": 1}
         powers = [t["rho_power"] for t in terms]
         assert powers == sorted(powers)
+
+
+def test_half_power_check_survives_optimisation():
+    # the integer-power check of both assembled series is a real raise, so
+    # python -O keeps it; a GradedPoly that reports half powers must trip it
+    code = (
+        "from g2sew import SewingError, formal\n"
+        "formal.GradedPoly.has_integer_powers = lambda self: False\n"
+        "for fn in (formal.symbolic_period_eps, formal.symbolic_period_rho):\n"
+        "    try:\n"
+        "        fn(2)\n"
+        "    except SewingError:\n"
+        "        print('SewingError')\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["SewingError", "SewingError"]

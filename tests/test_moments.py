@@ -165,6 +165,23 @@ class TestXBlocks:
                       [-a2.entries, np.zeros((n, n))]])
         assert np.max(np.abs(x - (a + q @ x))) < 1e-12
 
+    def test_one_solve_matches_two_solves(self):
+        # the push-through identities hold for non-symmetric A1, A2 too
+        rng = np.random.default_rng(20261018)
+        n = 6
+        eye = np.eye(n)
+        for _ in range(10):
+            m1, m2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                      for _ in range(2))
+            m1 *= 0.5 / np.linalg.norm(m1, 2)
+            m2 *= 0.5 / np.linalg.norm(m2, 2)
+            inv_12 = np.linalg.solve(eye - m1 @ m2, eye)
+            inv_21 = np.linalg.solve(eye - m2 @ m1, eye)
+            expect = (m1 @ inv_21, eye - inv_12, eye - inv_21, m2 @ inv_12)
+            got = x_blocks(MomentMatrix(n, m1), MomentMatrix(n, m2))
+            for x, y in zip(got, expect):
+                assert np.max(np.abs(x - y)) < 1e-12
+
 
 class TestDeterminants:
     def test_zero_factor(self):

@@ -3,6 +3,7 @@ necklaces, L-action, degeneration, inversion, and the chart composition."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from g2sew import (
     prime_form,
     weierstrass_p,
 )
+from g2sew import elliptic
 from g2sew import rho as rho_mod
 from g2sew.epsilon import _complex_jacobian, in_domain_eps
 from g2sew.lattice import TWO_PI_I
@@ -139,6 +141,25 @@ class TestPeriodMatrix:
         om_1bb = right[0] + right[n]
         assert abs(om_b1 - om_1bb) < 1e-12
 
+    def test_one_table_pair_per_call(self, monkeypatch):
+        # R and beta share one E_k and one P_k table; the other two E_k
+        # tables are the Laurent route's inside weierstrass_range and the
+        # prime form's
+        counts = {"eisenstein_range": 0, "weierstrass_range": 0}
+        for name in counts:
+            orig = getattr(elliptic, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if (mod_name.split(".")[0] == "g2sew"
+                        and getattr(mod, name, None) is orig):
+                    monkeypatch.setattr(mod, name, counted)
+        period_matrix_rho(RhoPoint(1j, 1 + 0.8j, 0.01), 12)
+        assert counts == {"eisenstein_range": 3, "weierstrass_range": 1}
+
 
 class TestNecklace:
     def test_order_one_hand_enumeration(self):
@@ -167,7 +188,7 @@ class TestNecklace:
             assert nk.max_abs_diff(mt) < 1e-10
 
     def test_budget_error(self, monkeypatch):
-        monkeypatch.setattr(rho_mod, "_NECKLACE_BUDGET", 20)
+        monkeypatch.setattr(rho_mod.epsilon, "_NECKLACE_BUDGET", 20)
         with pytest.raises(BudgetError):
             necklace_period_rho(RhoPoint(1j, 1j * math.pi, 0.02), 8)
 
