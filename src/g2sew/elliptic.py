@@ -14,6 +14,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     InvalidArgumentError,
     PoleError,
@@ -115,13 +117,22 @@ def _eisenstein_q_sum(k: int, q: complex, tol: SeriesTolerance, d: int) -> compl
     p = k + d
     log_pref = math.log(2.0 * (2.0 * math.pi) ** d) - math.lgamma(k)
     log_aq = math.log(aq)
+    log_q = cmath.log(q)
     total = 0j
     qn = 1 + 0j
     try:
         for n in range(1, tol.max_terms + 1):
             qn *= q
-            c = 2 * _sigma(k - 1, n) / fact
-            total += (n * c if d else c) * qn
+            sigma = _sigma(k - 1, n)
+            try:
+                c = 2 * sigma / fact
+            except OverflowError:
+                # the coefficient leaves the double range while its term
+                # need not: form the term in log space
+                total += cmath.exp(math.log(2 * sigma) - math.lgamma(k)
+                                   + d * math.log(n) + n * log_q)
+            else:
+                total += (n * c if d else c) * qn
             log_u = log_pref + p * math.log(n + 1) + (n + 1) * log_aq
             rho = aq * ((n + 2) / (n + 1)) ** p
             if rho < 1.0 and log_u < log_goal + math.log1p(-rho):
@@ -158,14 +169,29 @@ def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     return eisenstein_q(k, cmath.exp(TWO_PI_I * tau), tol)
 
 
+class _EisensteinTable:
+    """E_k(tau) by weight, grown on demand and shared by the consumers of
+    one evaluation (R and beta, the Laurent route of P_k, the series route
+    of the prime form), so that no weight is computed twice in it.  Made
+    afresh for each evaluation; nothing outlives it."""
+
+    def __init__(self, tau: complex, tol: SeriesTolerance):
+        self.tau = require_tau(tau)
+        self.tol = tol
+        self._q = cmath.exp(TWO_PI_I * self.tau)
+        self._values = [0j, 0j]
+
+    def upto(self, kmax: int) -> list[complex]:
+        """[E_0..E_kmax], zero at E_0, E_1 and every odd weight."""
+        values = self._values
+        for k in range(len(values), kmax + 1):
+            values.append(eisenstein_q(k, self._q, self.tol) if k % 2 == 0 else 0j)
+        return values[:kmax + 1]
+
+
 def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
     """[E_0..E_kmax] with the convention E_0 = E_1 = 0 (E_0 unused)."""
-    tau = require_tau(tau)
-    q = cmath.exp(TWO_PI_I * tau)
-    out = [0j] * (kmax + 1)
-    for k in range(2, kmax + 1, 2):
-        out[k] = eisenstein_q(k, q, tol)
-    return out
+    return _EisensteinTable(tau, tol).upto(kmax)
 
 
 def eisenstein_dtau_range(kmax: int, tau: complex,
@@ -311,7 +337,13 @@ def weierstrass_range(kmax: int, tau: complex, z: complex,
     parallelogram representative feeds the exponential-coordinate route.
     P_1 picks up the quasi-period correction -m from the reduction.
     """
-    tau = require_tau(tau)
+    return _weierstrass_table(kmax, _EisensteinTable(tau, tol), z)
+
+
+def _weierstrass_table(kmax: int, table: _EisensteinTable, z: complex) -> list[complex]:
+    """``weierstrass_range`` at the table's tau and tolerance, its Laurent
+    route reading the E_k of ``table``."""
+    tau, tol = table.tau, table.tol
     if kmax < 1:
         raise InvalidArgumentError("weierstrass_range requires kmax >= 1")
     z = complex(z)
@@ -326,7 +358,7 @@ def weierstrass_range(kmax: int, tau: complex, z: complex,
         # z off the lattice
         kbound = max(kmax + 40, 2 * kmax)
         while kbound <= _LAURENT_MAX_WEIGHT:
-            eis = eisenstein_range(kbound, tau, tol)
+            eis = table.upto(kbound)
             try:
                 for k in range(1, kmax + 1):
                     out[k] = _p_laurent_route(k, tau, z_near, dmin, eis, tol)
@@ -355,6 +387,31 @@ def weierstrass_p(k: int, tau: complex, z: complex,
                   tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Weierstrass-type P_k(tau, z); P_2 is the classical P-function shifted by E_2."""
     return weierstrass_range(k, tau, z, tol)[k]
+
+
+def _weierstrass_dtau(pks) -> np.ndarray:
+    """[dP_0/dtau..dP_K/dtau](tau, z) at fixed z from [P_0..P_(K+2)](tau, z),
+    slot 0 unused (0j).
+
+    theta_1 solves the heat equation d theta_1/dtau = pi*i d^2 theta_1/dz^2,
+    so L = log K, with dL/dz = P_1 and P_(k+1) = -(1/k) dP_k/dz, has
+    dL/dtau = pi*i (L_zz + L_z^2) + const(tau), whence
+    dP_k/dtau = pi*i k [(k+1) P_(k+2) - sum_(j=0..k) P_(j+1) P_(k+1-j)].
+    """
+    pks = np.asarray(pks)
+    kmax = len(pks) - 3
+    first = pks[1:kmax + 2]  # P_1..P_(K+1)
+    conv = np.convolve(first, first)[1:kmax + 1]
+    kk = np.arange(1, kmax + 1)
+    out = np.zeros(kmax + 1, dtype=complex)
+    out[1:] = 1j * math.pi * kk * ((kk + 1) * pks[3:] - conv)
+    return out
+
+
+def _log_prime_form_dtau(p1: complex, p2: complex, e2: complex) -> complex:
+    """d log K(tau, z)/dtau = pi*i (P_1^2 - P_2 + 3 E_2) at fixed z, from the
+    heat equation of theta_1 and d log eta/dtau = -pi*i E_2."""
+    return 1j * math.pi * (p1 * p1 - p2 + 3.0 * e2)
 
 
 def dedekind_eta(tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
@@ -416,7 +473,13 @@ def prime_form(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL,
     theta/eta quotient -i*theta_1/eta^3 (any z).  K vanishes exactly on the
     lattice; z there returns 0 exactly.
     """
-    tau = require_tau(tau)
+    return _prime_form(_EisensteinTable(tau, tol), z, route)
+
+
+def _prime_form(table: _EisensteinTable, z: complex, route: str = "auto") -> complex:
+    """``prime_form`` at the table's tau and tolerance, its series route
+    reading the E_k of ``table``."""
+    tau, tol = table.tau, table.tol
     z = complex(z)
     dmin = lattice_min(tau)
     z_near, _, _ = reduce_mod_lattice(tau, z)
@@ -429,7 +492,7 @@ def prime_form(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL,
             raise InvalidArgumentError(
                 f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
         r = abs(z) / dmin
-        eis = eisenstein_range(64, tau, tol)
+        eis = table.upto(64)
         total = 0j
         zp = z * z
         k = 2
@@ -441,7 +504,7 @@ def prime_form(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL,
             if tail < tol.abs_tol:
                 break
             if k >= len(eis):
-                eis = eisenstein_range(2 * len(eis), tau, tol)
+                eis = table.upto(2 * len(eis))
         return z * cmath.exp(-total)
     if route == "theta":
         return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3

@@ -272,21 +272,6 @@ def _eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
     return EpsPoint(tau1, tau2, -TWO_PI_I * om12)
 
 
-def _complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6,
-                      columns=None) -> np.ndarray:
-    """Jacobian columns of a holomorphic f: C^m -> C^m at x (all by
-    default), one central difference along the real axis of each coordinate
-    (two evaluations per column)."""
-    columns = range(len(x)) if columns is None else columns
-    jac = np.empty((len(x), len(columns)), dtype=complex)
-    for i, j in enumerate(columns):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        jac[:, i] = (f(xp) - f(xm)) / (2.0 * h)
-    return jac
-
-
 def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50):
     """Damped Newton for a holomorphic map C^m -> C^m.
 

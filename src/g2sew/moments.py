@@ -19,9 +19,12 @@ from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
     _comb_ratio,
+    _EisensteinTable,
+    _log_prime_form_dtau,
+    _weierstrass_dtau,
+    _weierstrass_table,
     eisenstein_dtau_range,
     eisenstein_range,
-    weierstrass_range,
 )
 from .errors import (
     DomainError,
@@ -179,10 +182,15 @@ def rho_moments(tau: complex, w: complex, rho: complex, n: int,
     beta_a(k) = rho^(k/2)/sqrt(k) (P_k(tau,w) - E_k(tau)) * [-1, (-1)^k]
     (P_1 has no Eisenstein term).
     """
-    tau = require_tau(tau)
+    return _rho_moments(_EisensteinTable(tau, tol), w, rho, n, half_power_sign)
+
+
+def _rho_moments(table: _EisensteinTable, w: complex, rho: complex, n: int,
+                 half_power_sign: int) -> tuple[BlockMomentMatrix, MomentVector]:
+    """``rho_moments`` at the table's tau, reading the E_k of ``table`` (the
+    Laurent route of P_k reads it too)."""
     s = _scaling(rho, n, half_power_sign)
-    return _rho_pair(eisenstein_range(2 * n, tau, tol),
-                     weierstrass_range(2 * n, tau, w, tol), s)
+    return _rho_pair(table.upto(2 * n), _weierstrass_table(2 * n, table, w), s)
 
 
 def r_matrix(tau: complex, w: complex, rho: complex, n: int,
@@ -199,23 +207,27 @@ def beta_vector(tau: complex, w: complex, rho: complex, n: int,
     return rho_moments(tau, w, rho, n, tol, half_power_sign)[1]
 
 
-def rho_moments_dw(tau: complex, w: complex, rho: complex, n: int,
-                   tol: SeriesTolerance = DEFAULT_TOL, half_power_sign: int = 1):
-    """(R, beta, dR/dw, dbeta/dw, P_1(tau, w)) from one E_k table and one
-    P_k table: the derivatives are R and beta with dP_k/dw = -k P_{k+1} in
-    place of P_k and 0 in place of E_k.
+def _rho_moments_jacobian(table: _EisensteinTable, w: complex, rho: complex, n: int):
+    """(R, beta), (dR/dw, dbeta/dw), (dR/dtau, dbeta/dtau), d log K/dw and
+    d log K/dtau at the table's tau, from the E_k of ``table``, one
+    dE_k/dtau table and one P_k(tau, w) table reaching weight 2n + 2.
 
-    dR/drho and dbeta/drho need no table: they are the diagonal scalings
-    R(k,l) (k+l)/(2 rho) and beta(k) k/(2 rho).  P_1 = d log K(tau, w)/dw.
+    Each pair is ``_rho_pair`` of a table pair: (E, P), then (0, dP/dw)
+    with dP_k/dw = -k P_(k+1), then (dE/dtau, dP/dtau) with dP_k/dtau from
+    the heat equation (``_weierstrass_dtau``).  S(rho) does not depend on
+    tau or w.  dR/drho and dbeta/drho need no table: they are the diagonal
+    scalings R(k,l) (k+l)/(2 rho) and beta(k) k/(2 rho).
+    d log K/dw = P_1 and d log K/dtau = pi*i (P_1^2 - P_2 + 3 E_2).
     """
-    tau = require_tau(tau)
-    s = _scaling(rho, n, half_power_sign)
-    eis = eisenstein_range(2 * n, tau, tol)
-    pks = np.asarray(weierstrass_range(2 * n + 1, tau, w, tol))
-    dpks = np.zeros(2 * n + 1, dtype=complex)
-    dpks[1:] = -np.arange(1, 2 * n + 1) * pks[2:]
-    return (*_rho_pair(eis, pks, s), *_rho_pair(np.zeros(2 * n + 1), dpks, s),
-            complex(pks[1]))
+    s = _scaling(rho, n, 1)
+    eis = table.upto(2 * n)
+    pks = np.asarray(_weierstrass_table(2 * n + 2, table, w))
+    dpks_dw = np.zeros(2 * n + 1, dtype=complex)
+    dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
+    deis_dtau = eisenstein_dtau_range(2 * n, table.tau, table.tol)
+    return (_rho_pair(eis, pks, s), _rho_pair(np.zeros(2 * n + 1), dpks_dw, s),
+            _rho_pair(deis_dtau, _weierstrass_dtau(pks), s), complex(pks[1]),
+            _log_prime_form_dtau(pks[1], pks[2], eis[2]))
 
 
 def sphere_moments(chi: complex, n: int,

@@ -19,14 +19,15 @@ import numpy as np
 from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
+    _EisensteinTable,
+    _prime_form,
     eisenstein,
-    prime_form,
 )
 from . import epsilon
-from .epsilon import DomainCheck, EpsPoint, _complex_jacobian, _newton, invert_eps
+from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
 from .errors import BudgetError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
-from .moments import rho_moments, rho_moments_dw, solve_id_minus
+from .moments import _rho_moments, _rho_moments_jacobian, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -90,9 +91,10 @@ def in_domain_rho(p: RhoPoint) -> DomainCheck:
     return DomainCheck(margin < 1.0, margin)
 
 
-def _log_head(p: RhoPoint, tol: SeriesTolerance) -> complex:
-    """Branch-resolved logarithm Log(-rho / K(tau,w)^2) + 2pi*i*branch."""
-    k = prime_form(p.tau, p.w, tol)
+def _log_head(p: RhoPoint, table: _EisensteinTable) -> complex:
+    """Branch-resolved logarithm Log(-rho / K(tau,w)^2) + 2pi*i*branch, the
+    prime form reading the E_k of ``table`` (an E_k table at p.tau)."""
+    k = _prime_form(table, p.w)
     return cmath.log(-p.rho / (k * k)) + TWO_PI_I * p.branch
 
 
@@ -107,8 +109,9 @@ def period_matrix_rho(p: RhoPoint, n: int = 12,
     where sigma sums block entries at (k,l) = (1,1).
     """
     _require_rho_domain(p)
-    r, beta = rho_moments(p.tau, p.w, p.rho, n, tol, half_power_sign)
-    return _rho_solve(p, r, beta, tol, half_power_sign)[0]
+    table = _EisensteinTable(p.tau, tol)
+    r, beta = _rho_moments(table, p.w, p.rho, n, half_power_sign)
+    return _rho_solve(p, r, beta, table, half_power_sign)[0]
 
 
 def _require_rho_domain(p: RhoPoint) -> None:
@@ -117,7 +120,7 @@ def _require_rho_domain(p: RhoPoint) -> None:
         raise DomainError(f"(tau, w, rho) outside D^rho, margin {check.margin:.3f}")
 
 
-def _rho_solve(p: RhoPoint, r, beta, tol: SeriesTolerance, half_power_sign: int):
+def _rho_solve(p: RhoPoint, r, beta, table: _EisensteinTable, half_power_sign: int):
     """Omega from one factorization of I - R, with the solutions
     g = (I-R)^-1 u (u the sum of the unit vectors at k = 1) and
     z = (I-R)^-1 beta_bar that its derivatives reuse.
@@ -134,7 +137,7 @@ def _rho_solve(p: RhoPoint, r, beta, tol: SeriesTolerance, half_power_sign: int)
     sr = half_power_sign * cmath.sqrt(p.rho)
     om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
     om12 = p.w - sr * (beta.flat @ g)
-    om22 = _log_head(p, tol) - beta.flat @ z
+    om22 = _log_head(p, table) - beta.flat @ z
     return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I), g, z
 
 
@@ -184,7 +187,8 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
     if max_rho_order < 1:
         raise InvalidArgumentError("max_rho_order must be >= 1")
     n = max_rho_order
-    r, beta = rho_moments(p.tau, p.w, p.rho, n, tol)
+    table = _EisensteinTable(p.tau, tol)
+    r, beta = _rho_moments(table, p.w, p.rho, n, 1)
     bbar = beta.barred()
 
     def beta_at(ka):
@@ -208,7 +212,7 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
         om_bb += beta_at(start) * w * bbar_at(end)
     om11_full = TWO_PI_I * p.tau - p.rho * om11
     om12_full = p.w - sr * om_b1
-    om22_full = _log_head(p, tol) - om_bb
+    om22_full = _log_head(p, table) - om_bb
     return PeriodMatrix(om11_full / TWO_PI_I, om12_full / TWO_PI_I,
                         om22_full / TWO_PI_I)
 
@@ -223,7 +227,7 @@ def l_action_rho(g: LElement, p: RhoPoint,
     The integer branch of the image realizes those laws exactly.
     """
     _require_rho_domain(p)
-    head = _log_head(p, tol)
+    head = _log_head(p, _EisensteinTable(p.tau, tol))
     if g.kind == "mu":
         a, b, c = g.abc
         img = RhoPoint(p.tau, p.w + TWO_PI_I * (a * p.tau + b), p.rho, 0)
@@ -233,7 +237,8 @@ def l_action_rho(g: LElement, p: RhoPoint,
         j = c1 * p.tau + d1
         img = RhoPoint(mobius(g.mat, p.tau), p.w / j, p.rho / (j * j), 0)
         lifted = head - c1 * p.w**2 / (TWO_PI_I * j)
-    base = _log_head(img, tol)  # branch-0 head at the image point
+    # branch-0 head at the image point
+    base = _log_head(img, _EisensteinTable(img.tau, tol))
     shift = (lifted - base) / TWO_PI_I
     branch = round(shift.real)
     if abs(shift - branch) > 1e-6:
@@ -287,20 +292,22 @@ def _chi_seed(target: PeriodMatrix) -> ChiPoint:
 
 
 def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
-    """(F^chi(c), J) with J = d(Om11, Om12, Om22)/d(tau, w, chi).
+    """(F^chi(c), J) with J = d(Om11, Om12, Om22)/d(tau, w, chi), all from
+    one set of tables (``_rho_moments_jacobian``) and one factorization.
 
-    The (w, chi) columns are closed-form, from the solutions of the one
-    factorization behind Omega: with G = (I-R)^-1, y = G^T beta and any
-    parameter s,
+    With G = (I-R)^-1, y = G^T beta and any parameter s,
     d sigma11 = (Pg).dR g,  d(beta G u) = dbeta.g + y.dR g,
     d(beta G beta_bar) = 2 dbeta.z + y.dR z  (P swaps the blocks).
-    The tau column is a central difference of F^chi, since dP_k/dtau has no
-    closed form here.
+    rho = -w^2 chi does not depend on tau, so the tau column is
+    (2pi*i - rho d sigma11, -rho^(1/2) d(beta G u),
+    -2 d log K/dtau - d(beta G beta_bar)) / 2pi*i along dR/dtau, dbeta/dtau.
     """
     p = c.rho_point()
     _require_rho_domain(p)
-    r, beta, dr_dw, dbeta_dw, p1 = rho_moments_dw(p.tau, p.w, p.rho, n, tol)
-    omega, g, z = _rho_solve(p, r, beta, tol, 1)
+    table = _EisensteinTable(p.tau, tol)
+    (r, beta), (dr_dw, dbeta_dw), (dr_dtau, dbeta_dtau), p1, dlogk_dtau = (
+        _rho_moments_jacobian(table, p.w, p.rho, n))
+    omega, g, z = _rho_solve(p, r, beta, table, 1)
     kk = np.tile(np.arange(1, n + 1), 2)
     dr_drho = r.flat * (kk[:, None] + kk[None, :]) / (2.0 * p.rho)
     dbeta_drho = beta.flat * kk / (2.0 * p.rho)
@@ -314,20 +321,19 @@ def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
     sr = cmath.sqrt(p.rho)
     s_rho = partials(dr_drho, dbeta_drho)
     s_w = partials(dr_dw.flat, dbeta_dw.flat)
-    # d(2pi*i Om11, 2pi*i Om12, 2pi*i Om22) at fixed tau, along rho and along w
+    s_tau = partials(dr_dtau.flat, dbeta_dtau.flat)
+    # d(2pi*i Om11, 2pi*i Om12, 2pi*i Om22) along rho and along w at fixed
+    # tau, and along tau at fixed (w, rho)
     d_rho = np.array([-(g[0] + g[n]) - p.rho * s_rho[0],
                       -sr / (2.0 * p.rho) * (beta.flat @ g) - sr * s_rho[1],
                       1.0 / p.rho - s_rho[2]])
     d_w = np.array([-p.rho * s_w[0], 1.0 - sr * s_w[1], -2.0 * p1 - s_w[2]])
+    d_tau = np.array([TWO_PI_I - p.rho * s_tau[0], -sr * s_tau[1],
+                      -2.0 * dlogk_dtau - s_tau[2]])
     jac = np.empty((3, 3), dtype=complex)
+    jac[:, 0] = d_tau / TWO_PI_I
     jac[:, 1] = (d_w - 2.0 * c.w * c.chi * d_rho) / TWO_PI_I  # rho = -w^2 chi
     jac[:, 2] = -c.w**2 * d_rho / TWO_PI_I
-
-    def forward(v):
-        om = chi_period(ChiPoint(*v), n, tol)
-        return np.array([om.omega11, om.omega12, om.omega22])
-
-    jac[:, :1] = _complex_jacobian(forward, np.array([c.tau, c.w, c.chi]), columns=[0])
     return np.array([omega.omega11, omega.omega12, omega.omega22]), jac
 
 

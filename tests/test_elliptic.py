@@ -184,6 +184,15 @@ class TestEisenstein:
             return
         assert cmath.isfinite(value)
 
+    @pytest.mark.parametrize("k", [200, 240])
+    def test_high_weight_near_real_axis_matches_modular_image(self, k):
+        # at tau = 0.05i the coefficient 2 sigma_(k-1)(n)/(k-1)! leaves the
+        # double range while the terms stay finite; E_k(tau) =
+        # tau^-k E_k(-1/tau), with -1/tau = 20i deep in the cusp
+        tau = 0.05j
+        ref = eisenstein(k, -1 / tau) * (1 / tau) ** (k // 2) * (1 / tau) ** (k // 2)
+        assert abs(eisenstein(k, tau) - ref) < 1e-10 * abs(ref)
+
     def test_lattice_bound_holds(self):
         # the z-Laurent tail certificates of P_k and the prime form assume
         # |E_k| D^k <= _EISEN_LATTICE_BOUND; check it on fundamental-domain
@@ -284,6 +293,36 @@ class TestWeierstrass:
         dlog_k = ((prime_form(tau, z + h) - prime_form(tau, z - h)) / (2 * h)
                   / prime_form(tau, z))
         assert abs(dlog_k - pk[1]) < 1e-8
+
+    @pytest.mark.parametrize("z, laurent", [
+        (1.0 + 0.5j, True), (2.5 + 2.5j, False),
+        (1.0 + 0.5j + TWO_PI_I * (0.2 + 1.1j), True)],
+        ids=["laurent", "qz", "laurent-shifted"])
+    def test_tau_derivatives_of_p_from_heat_equation(self, z, laurent):
+        # the rho chart's tau column uses dP_k/dtau from the heat equation
+        # through k = 2n.  On the Laurent route entry k is scaled by
+        # |z_red|^k, the size of the exact head z_red^-k; the q_z route
+        # certifies P_k to an absolute tolerance, so its entries are not
+        tau, h = 0.2 + 1.1j, 1e-6
+        z_red = reduce_mod_lattice(tau, z)[0]
+        assert laurent == (abs(z_red) < 0.5 * lattice_min(tau))
+        closed = elliptic._weierstrass_dtau(weierstrass_range(26, tau, z))[1:]
+        fd = (np.array(weierstrass_range(24, tau + h, z))
+              - np.array(weierstrass_range(24, tau - h, z)))[1:] / (2 * h)
+        scale = (abs(z_red) if laurent else 1.0) ** np.arange(1, 25)
+        assert np.max(scale * np.abs(fd - closed)) < 1e-7 * np.max(scale * np.abs(closed))
+
+    @pytest.mark.parametrize("route, z", [
+        ("series", 1.0 + 0.5j), ("theta", 1.0 + 0.5j), ("theta", 2.5 + 2.5j)],
+        ids=["series", "theta", "theta-qz"])
+    def test_tau_derivative_of_log_prime_form(self, route, z):
+        # d log K/dtau = pi*i (P_1^2 - P_2 + 3 E_2) at fixed z
+        tau, h = 0.2 + 1.1j, 1e-6
+        pk = weierstrass_range(2, tau, z)
+        closed = elliptic._log_prime_form_dtau(pk[1], pk[2], eisenstein(2, tau))
+        fd = cmath.log(prime_form(tau + h, z, route=route)
+                       / prime_form(tau - h, z, route=route)) / (2 * h)
+        assert abs(fd - closed) < 1e-7 * abs(closed)
 
     def test_p3_at_i_finite_difference_oracle(self):
         tau, z = 1j, 1.0

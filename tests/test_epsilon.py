@@ -36,6 +36,7 @@ from g2sew import (
 )
 from g2sew import epsilon as eps_mod
 from g2sew.lattice import TWO_PI_I
+from helpers import complex_jacobian
 
 RNG = np.random.default_rng(777)
 
@@ -323,7 +324,7 @@ class TestInversion:
                 om = chi_period(ChiPoint(v[0], v[1], v[2]), 12)
                 return np.array([om.omega11, om.omega12, om.omega22])
 
-        jac = eps_mod._complex_jacobian(f, x0)
+        jac = complex_jacobian(f, x0)
         ref = real_split_jacobian(f, x0)
         scale = np.max(np.abs(jac))
         # the real-split columns hold Re/Im of J e_j and of i J e_j
@@ -344,7 +345,7 @@ class TestInversion:
         om, jac = eps_mod._period_eps(EpsPoint(*x0), 16, eps_mod.DEFAULT_TOL,
                                       jacobian=True)
         assert np.array_equal(f(x0), [om.omega11, om.omega22, om.omega12])
-        ref = eps_mod._complex_jacobian(f, x0)
+        ref = complex_jacobian(f, x0)
         assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
 
     def test_newton_step_costs_one_evaluation_per_line_search_trial(self):

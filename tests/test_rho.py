@@ -3,7 +3,6 @@ necklaces, L-action, degeneration, inversion, and the chart composition."""
 
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -33,10 +32,10 @@ from g2sew import (
     prime_form,
     weierstrass_p,
 )
-from g2sew import elliptic
 from g2sew import rho as rho_mod
-from g2sew.epsilon import _complex_jacobian, in_domain_eps
+from g2sew.epsilon import in_domain_eps
 from g2sew.lattice import TWO_PI_I
+from helpers import complex_jacobian
 
 SAMPLE_POINTS = [
     RhoPoint(1j, 1j * math.pi, 0.02),
@@ -141,24 +140,13 @@ class TestPeriodMatrix:
         om_1bb = right[0] + right[n]
         assert abs(om_b1 - om_1bb) < 1e-12
 
-    def test_one_table_pair_per_call(self, monkeypatch):
-        # R and beta share one E_k and one P_k table; the other two E_k
-        # tables are the Laurent route's inside weierstrass_range and the
-        # prime form's
-        counts = {"eisenstein_range": 0, "weierstrass_range": 0}
-        for name in counts:
-            orig = getattr(elliptic, name)
-
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                counts[_name] += 1
-                return _orig(*args, **kwargs)
-
-            for mod_name, mod in list(sys.modules.items()):
-                if (mod_name.split(".")[0] == "g2sew"
-                        and getattr(mod, name, None) is orig):
-                    monkeypatch.setattr(mod, name, counted)
+    def test_one_table_pair_per_call(self, count_calls):
+        # R and beta, the Laurent route of P_k and the series route of the
+        # prime form read one E_k table, grown to the weight 64 that the
+        # Laurent route asks for: E_2..E_64, each computed once
+        counts = count_calls("eisenstein_q")
         period_matrix_rho(RhoPoint(1j, 1 + 0.8j, 0.01), 12)
-        assert counts == {"eisenstein_range": 3, "weierstrass_range": 1}
+        assert counts == {"eisenstein_q": 32}
 
 
 class TestNecklace:
@@ -310,8 +298,30 @@ class TestInversion:
 
         val, jac = rho_mod._chi_period_jacobian(c, 12, rho_mod.DEFAULT_TOL)
         assert np.max(np.abs(val - f(x0))) < 1e-13
-        ref = _complex_jacobian(f, x0)
+        ref = complex_jacobian(f, x0)
         assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tau, w, chi", [
+        (1j, 1e-3, 0.05), (0.4 + 0.95j, 1e-3 * cmath.exp(2.0j), 0.07 * cmath.exp(-0.6j))],
+        ids=["fundamental-domain", "skewed"])
+    def test_closed_form_jacobian_at_small_w(self, tau, w, chi):
+        x0 = np.array([tau, w, chi])
+
+        def f(v):
+            om = chi_period(ChiPoint(*v), 12)
+            return np.array([om.omega11, om.omega12, om.omega22])
+
+        _, jac = rho_mod._chi_period_jacobian(ChiPoint(tau, w, chi), 12, rho_mod.DEFAULT_TOL)
+        ref = complex_jacobian(f, x0)
+        assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    def test_jacobian_costs_one_rho_evaluation(self, count_calls):
+        # the tau column comes from the heat equation, not from forward
+        # calls; the P_k table reaches weight 2n + 2 = 26, so its Laurent
+        # route grows the one E_k table to weight 66
+        counts = count_calls("chi_period", "eisenstein_q")
+        rho_mod._chi_period_jacobian(ChiPoint(1j, 0.3, 0.05), 12, rho_mod.DEFAULT_TOL)
+        assert counts == {"chi_period": 0, "eisenstein_q": 33}
 
     def test_jacobian_determinant_near_degeneration(self):
         # |det d(Om11,Om12,Om22)/d(tau,w,chi)| -> 1/(4 pi^2 chi) as w -> 0
