@@ -10,6 +10,7 @@ closed forms (Catalan series), and an exact rational series engine.
 from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
+    Torus,
     bernoulli,
     c_coeff,
     d_coeff,

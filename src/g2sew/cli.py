@@ -37,8 +37,10 @@ def _require_flags(args, names) -> None:
     missing = [f"--{n.replace('_', '-')}" for n in names
                if getattr(args, n, None) is None]
     if missing:
+        # sweep selects its chart with --over, the other commands with --formalism
+        flag = "formalism" if hasattr(args, "formalism") else "over"
         raise ValueError(f"missing required flag(s) {', '.join(missing)} "
-                         f"for --formalism {args.formalism}")
+                         f"for --{flag} {getattr(args, flag, None)}")
 
 
 def parse_complex(text: str) -> complex:
@@ -97,17 +99,27 @@ def _cmd_eisenstein(args) -> dict:
             "margin": abs(cmath.exp(TWO_PI_I * tau)), "order": args.max_terms}
 
 
+def _eps_point(args) -> epsilon.EpsPoint:
+    _require_flags(args, ("tau1", "tau2", "eps"))
+    return epsilon.EpsPoint(parse_complex(args.tau1), parse_complex(args.tau2),
+                            parse_complex(args.eps))
+
+
+def _rho_point(args) -> rho.RhoPoint:
+    _require_flags(args, ("tau", "w", "rho"))
+    return rho.RhoPoint(parse_complex(args.tau), parse_complex(args.w),
+                        parse_complex(args.rho), args.branch)
+
+
 def _cmd_period_eps(args) -> dict:
-    p = epsilon.EpsPoint(parse_complex(args.tau1), parse_complex(args.tau2),
-                         parse_complex(args.eps))
+    p = _eps_point(args)
     margin = epsilon.in_domain_eps(p).margin
     om = epsilon.period_matrix_eps(p, args.order, _tol(args))
     return _pm_payload(om, margin, args.order)
 
 
 def _cmd_period_rho(args) -> dict:
-    p = rho.RhoPoint(parse_complex(args.tau), parse_complex(args.w),
-                     parse_complex(args.rho), args.branch)
+    p = _rho_point(args)
     margin = rho.in_domain_rho(p).margin
     om = rho.period_matrix_rho(p, args.order, _tol(args))
     out = _pm_payload(om, margin, args.order)
@@ -117,15 +129,11 @@ def _cmd_period_rho(args) -> dict:
 
 def _cmd_necklace(args) -> dict:
     if args.formalism == "eps":
-        _require_flags(args, ("tau1", "tau2", "eps"))
-        p = epsilon.EpsPoint(parse_complex(args.tau1), parse_complex(args.tau2),
-                             parse_complex(args.eps))
+        p = _eps_point(args)
         margin = epsilon.in_domain_eps(p).margin
         om = epsilon.necklace_period_eps(p, args.max_order, _tol(args))
     else:
-        _require_flags(args, ("tau", "w", "rho"))
-        p = rho.RhoPoint(parse_complex(args.tau), parse_complex(args.w),
-                         parse_complex(args.rho), args.branch)
+        p = _rho_point(args)
         margin = rho.in_domain_rho(p).margin
         om = rho.necklace_period_rho(p, args.max_order, _tol(args))
     return _pm_payload(om, margin, args.max_order)
@@ -174,16 +182,12 @@ def _cmd_equivariance(args) -> dict:
     tol = _tol(args)
     residuals = {}
     if args.formalism == "eps":
-        _require_flags(args, ("tau1", "tau2", "eps"))
-        p = epsilon.EpsPoint(parse_complex(args.tau1), parse_complex(args.tau2),
-                             parse_complex(args.eps))
+        p = _eps_point(args)
         margin = epsilon.in_domain_eps(p).margin
         for name, gel in _EPS_GENERATORS.items():
             residuals[name] = epsilon.equivariance_residual_eps(gel, p, args.order, tol)
     else:
-        _require_flags(args, ("tau", "w", "rho"))
-        p = rho.RhoPoint(parse_complex(args.tau), parse_complex(args.w),
-                         parse_complex(args.rho), args.branch)
+        p = _rho_point(args)
         margin = rho.in_domain_rho(p).margin
         for name, gel in _RHO_GENERATORS.items():
             residuals[name] = rho.equivariance_residual_rho(gel, p, args.order, tol)

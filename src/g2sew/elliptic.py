@@ -1,5 +1,6 @@
 """Eisenstein series, Weierstrass-type functions P_k, the elliptic prime
-form, Dedekind eta, and the C/D moment coefficients.
+form, Dedekind eta, and the C/D moment coefficients.  ``Torus`` holds the
+series of one tau; the module-level functions each read a fresh one.
 
 Conventions: the lattice is Lambda_tau = Z*2pi*i*tau + Z*2pi*i, q = exp(2pi*i*tau),
 and the Eisenstein normalization is E_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n
@@ -9,6 +10,7 @@ and the Eisenstein normalization is E_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -161,52 +163,7 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
 
 def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Eisenstein series E_k(tau); identically 0 for odd k."""
-    tau = require_tau(tau)
-    if k < 2:
-        raise InvalidArgumentError(f"eisenstein requires k >= 2, got {k}")
-    if k % 2 == 1:
-        return 0j
-    return eisenstein_q(k, cmath.exp(TWO_PI_I * tau), tol)
-
-
-class _EisensteinTable:
-    """E_k(tau) by weight, grown on demand and shared by the consumers of
-    one evaluation (R and beta, the Laurent route of P_k, the series route
-    of the prime form), so that no weight is computed twice in it.  Made
-    afresh for each evaluation; nothing outlives it."""
-
-    def __init__(self, tau: complex, tol: SeriesTolerance):
-        self.tau = require_tau(tau)
-        self.tol = tol
-        self._q = cmath.exp(TWO_PI_I * self.tau)
-        self._values = [0j, 0j]
-
-    def upto(self, kmax: int) -> list[complex]:
-        """[E_0..E_kmax], zero at E_0, E_1 and every odd weight."""
-        values = self._values
-        for k in range(len(values), kmax + 1):
-            values.append(eisenstein_q(k, self._q, self.tol) if k % 2 == 0 else 0j)
-        return values[:kmax + 1]
-
-
-def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
-    """[E_0..E_kmax] with the convention E_0 = E_1 = 0 (E_0 unused)."""
-    return _EisensteinTable(tau, tol).upto(kmax)
-
-
-def eisenstein_dtau_range(kmax: int, tau: complex,
-                          tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
-    """[dE_0/dtau..dE_kmax/dtau], zero at odd k (slots 0 and 1 unused).
-
-    dE_k/dtau = 2pi*i sum_{n>=1} n (2 sigma_{k-1}(n)/(k-1)!) q^n, with the
-    tail certified by the same test as E_k's.
-    """
-    tau = require_tau(tau)
-    q = cmath.exp(TWO_PI_I * tau)
-    out = [0j] * (kmax + 1)
-    for k in range(2, kmax + 1, 2):
-        out[k] = TWO_PI_I * _eisenstein_q_sum(k, q, tol, 1)
-    return out
+    return eisenstein_q(k, cmath.exp(TWO_PI_I * require_tau(tau)), tol)
 
 
 def _comb_ratio(k: int, l: int) -> float:
@@ -294,7 +251,7 @@ def _p_qz_route(k: int, q: complex, z: complex, head_poly: dict[int, Fraction],
     )
 
 
-def _p_laurent_route(k: int, tau: complex, z: complex, dmin: float,
+def _p_laurent_route(k: int, z: complex, dmin: float,
                      eis: list[complex], tol: SeriesTolerance) -> complex:
     """P_k from its z-Laurent series about 0; needs |z| < D(Lambda_tau)."""
     az = abs(z)
@@ -326,67 +283,6 @@ def _p_laurent_route(k: int, tau: complex, z: complex, dmin: float,
             return total
         zp *= z
     raise ToleranceError(f"P_{k} Laurent series not certified", achieved=t_next)
-
-
-def weierstrass_range(kmax: int, tau: complex, z: complex,
-                      tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
-    """[P_0..P_kmax](tau, z) with P_0 slot unused (0j).
-
-    z is reduced modulo the lattice first: the nearest-point representative
-    feeds the Laurent route when |z_red| < D/2, otherwise the centered
-    parallelogram representative feeds the exponential-coordinate route.
-    P_1 picks up the quasi-period correction -m from the reduction.
-    """
-    return _weierstrass_table(kmax, _EisensteinTable(tau, tol), z)
-
-
-def _weierstrass_table(kmax: int, table: _EisensteinTable, z: complex) -> list[complex]:
-    """``weierstrass_range`` at the table's tau and tolerance, its Laurent
-    route reading the E_k of ``table``."""
-    tau, tol = table.tau, table.tol
-    if kmax < 1:
-        raise InvalidArgumentError("weierstrass_range requires kmax >= 1")
-    z = complex(z)
-    dmin = lattice_min(tau)
-    z_near, m_near, _ = reduce_mod_lattice(tau, z)
-    if abs(z_near) < 1e-13 * dmin:
-        raise PoleError(f"z = {z} lies on the lattice Lambda_tau")
-    out = [0j] * (kmax + 1)
-    if abs(z_near) < 0.5 * dmin:
-        # extend the Eisenstein table until every P_k's tail certifies; past
-        # the cap fall through to the q_z route, which converges for every
-        # z off the lattice
-        kbound = max(kmax + 40, 2 * kmax)
-        while kbound <= _LAURENT_MAX_WEIGHT:
-            eis = table.upto(kbound)
-            try:
-                for k in range(1, kmax + 1):
-                    out[k] = _p_laurent_route(k, tau, z_near, dmin, eis, tol)
-            except ToleranceError:
-                kbound = 2 * len(eis)
-                continue
-            out[1] -= m_near
-            return out
-    # centered reduction in the original basis keeps |a| <= 1/2
-    u = z / TWO_PI_I
-    a = u.imag / tau.imag
-    m_c = round(a)
-    b = u.real - a * tau.real
-    n_c = round(b)
-    z_c = z - TWO_PI_I * (m_c * tau + n_c)
-    a_c = a - m_c
-    q = cmath.exp(TWO_PI_I * tau)
-    heads = _head_polys(kmax)
-    for k in range(1, kmax + 1):
-        out[k] = _p_qz_route(k, q, z_c, heads[k], tol, a_c)
-    out[1] -= m_c
-    return out
-
-
-def weierstrass_p(k: int, tau: complex, z: complex,
-                  tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Weierstrass-type P_k(tau, z); P_2 is the classical P-function shifted by E_2."""
-    return weierstrass_range(k, tau, z, tol)[k]
 
 
 def _weierstrass_dtau(pks) -> np.ndarray:
@@ -465,47 +361,145 @@ def theta1(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
         n_lo -= 1
 
 
+class Torus:
+    """E_k, dE_k/dtau, P_k(tau, z) and the prime form K(tau, z) of one torus
+    at one tolerance.  One evaluation reads one Torus per tau (A or R and
+    beta, the Laurent route of P_k, the series route of K), so no weight of
+    E_k is computed twice in it.  Made afresh per evaluation; nothing
+    outlives it."""
+
+    def __init__(self, tau: complex, tol: SeriesTolerance = DEFAULT_TOL):
+        self.tau = require_tau(tau)
+        self.tol = tol
+        self.q = cmath.exp(TWO_PI_I * self.tau)
+        self._eis = [0j, 0j]
+
+    @functools.cached_property
+    def dmin(self) -> float:
+        """Lattice minimum D(Lambda_tau)."""
+        return lattice_min(self.tau)
+
+    def eisenstein(self, kmax: int) -> list[complex]:
+        """[E_0..E_kmax], zero at E_0, E_1 and every odd weight, kept and grown on demand."""
+        values = self._eis
+        for k in range(len(values), kmax + 1):
+            values.append(eisenstein_q(k, self.q, self.tol) if k % 2 == 0 else 0j)
+        return values[:kmax + 1]
+
+    def eisenstein_dtau(self, kmax: int) -> list[complex]:
+        """[dE_0/dtau..dE_kmax/dtau], zero at odd k (slots 0 and 1 unused).
+
+        dE_k/dtau = 2pi*i sum_{n>=1} n (2 sigma_{k-1}(n)/(k-1)!) q^n, with the
+        tail certified by the same test as E_k's.
+        """
+        out = [0j] * (kmax + 1)
+        for k in range(2, kmax + 1, 2):
+            out[k] = TWO_PI_I * _eisenstein_q_sum(k, self.q, self.tol, 1)
+        return out
+
+    def weierstrass(self, kmax: int, z: complex) -> list[complex]:
+        """[P_0..P_kmax](tau, z) with P_0 slot unused (0j).
+
+        z is reduced modulo the lattice first: the nearest-point representative
+        feeds the Laurent route when |z_red| < D/2, otherwise the centered
+        parallelogram representative feeds the exponential-coordinate route.
+        P_1 picks up the quasi-period correction -m from the reduction.
+        """
+        tau, tol = self.tau, self.tol
+        if kmax < 1:
+            raise InvalidArgumentError("weierstrass_range requires kmax >= 1")
+        z = complex(z)
+        dmin = self.dmin
+        z_near, m_near, _ = reduce_mod_lattice(tau, z)
+        if abs(z_near) < 1e-13 * dmin:
+            raise PoleError(f"z = {z} lies on the lattice Lambda_tau")
+        out = [0j] * (kmax + 1)
+        if abs(z_near) < 0.5 * dmin:
+            # extend the Eisenstein table until every P_k's tail certifies;
+            # past the cap fall through to the q_z route, which converges for
+            # every z off the lattice
+            kbound = max(kmax + 40, 2 * kmax)
+            while kbound <= _LAURENT_MAX_WEIGHT:
+                eis = self.eisenstein(kbound)
+                try:
+                    for k in range(1, kmax + 1):
+                        out[k] = _p_laurent_route(k, z_near, dmin, eis, tol)
+                except ToleranceError:
+                    kbound = 2 * len(eis)
+                    continue
+                out[1] -= m_near
+                return out
+        # centered reduction in the original basis keeps |a| <= 1/2
+        u = z / TWO_PI_I
+        a = u.imag / tau.imag
+        m_c = round(a)
+        b = u.real - a * tau.real
+        n_c = round(b)
+        z_c = z - TWO_PI_I * (m_c * tau + n_c)
+        a_c = a - m_c
+        heads = _head_polys(kmax)
+        for k in range(1, kmax + 1):
+            out[k] = _p_qz_route(k, self.q, z_c, heads[k], tol, a_c)
+        out[1] -= m_c
+        return out
+
+    def prime_form(self, z: complex, route: str = "auto") -> complex:
+        """Elliptic prime form K(tau, z) = exp(-P_0(tau, z)).
+
+        Two routes: the defining series (radius D(Lambda_tau) around 0) and
+        the theta/eta quotient -i*theta_1/eta^3 (any z).  K vanishes exactly
+        on the lattice; z there returns 0 exactly.
+        """
+        tau, tol = self.tau, self.tol
+        z = complex(z)
+        dmin = self.dmin
+        z_near, _, _ = reduce_mod_lattice(tau, z)
+        if abs(z_near) < 1e-13 * dmin:
+            return 0j
+        if route == "auto":
+            route = "series" if abs(z) < 0.5 * dmin else "theta"
+        if route == "series":
+            if not abs(z) < dmin:
+                raise InvalidArgumentError(
+                    f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
+            r = abs(z) / dmin
+            eis = self.eisenstein(64)
+            total = 0j
+            zp = z * z
+            k = 2
+            while True:
+                total += eis[k] / k * zp
+                zp *= z * z
+                k += 2
+                tail = _EISEN_LATTICE_BOUND * r**k / (k * (1.0 - r * r))
+                if tail < tol.abs_tol:
+                    break
+                if k >= len(eis):
+                    eis = self.eisenstein(2 * len(eis))
+            return z * cmath.exp(-total)
+        if route == "theta":
+            return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3
+        raise InvalidArgumentError(f"unknown prime_form route {route!r}")
+
+
+def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
+    """[E_0..E_kmax] with the convention E_0 = E_1 = 0 (E_0 unused)."""
+    return Torus(tau, tol).eisenstein(kmax)
+
+
+def weierstrass_range(kmax: int, tau: complex, z: complex,
+                      tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:
+    """[P_0..P_kmax](tau, z) with P_0 slot unused (0j); see ``Torus.weierstrass``."""
+    return Torus(tau, tol).weierstrass(kmax, z)
+
+
+def weierstrass_p(k: int, tau: complex, z: complex,
+                  tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+    """Weierstrass-type P_k(tau, z); P_2 is the classical P-function shifted by E_2."""
+    return weierstrass_range(k, tau, z, tol)[k]
+
+
 def prime_form(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL,
                route: str = "auto") -> complex:
-    """Elliptic prime form K(tau, z) = exp(-P_0(tau, z)).
-
-    Two routes: the defining series (radius D(Lambda_tau) around 0) and the
-    theta/eta quotient -i*theta_1/eta^3 (any z).  K vanishes exactly on the
-    lattice; z there returns 0 exactly.
-    """
-    return _prime_form(_EisensteinTable(tau, tol), z, route)
-
-
-def _prime_form(table: _EisensteinTable, z: complex, route: str = "auto") -> complex:
-    """``prime_form`` at the table's tau and tolerance, its series route
-    reading the E_k of ``table``."""
-    tau, tol = table.tau, table.tol
-    z = complex(z)
-    dmin = lattice_min(tau)
-    z_near, _, _ = reduce_mod_lattice(tau, z)
-    if abs(z_near) < 1e-13 * dmin:
-        return 0j
-    if route == "auto":
-        route = "series" if abs(z) < 0.5 * dmin else "theta"
-    if route == "series":
-        if not abs(z) < dmin:
-            raise InvalidArgumentError(
-                f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
-        r = abs(z) / dmin
-        eis = table.upto(64)
-        total = 0j
-        zp = z * z
-        k = 2
-        while True:
-            total += eis[k] / k * zp
-            zp *= z * z
-            k += 2
-            tail = _EISEN_LATTICE_BOUND * r**k / (k * (1.0 - r * r))
-            if tail < tol.abs_tol:
-                break
-            if k >= len(eis):
-                eis = table.upto(2 * len(eis))
-        return z * cmath.exp(-total)
-    if route == "theta":
-        return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3
-    raise InvalidArgumentError(f"unknown prime_form route {route!r}")
+    """Elliptic prime form K(tau, z); see ``Torus.prime_form``."""
+    return Torus(tau, tol).prime_form(z, route)

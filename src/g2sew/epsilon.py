@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import DEFAULT_TOL, SeriesTolerance, eisenstein, weierstrass_range
+from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .errors import (
     BudgetError,
     ConvergenceError,
@@ -18,7 +18,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .lattice import TWO_PI_I, lattice_min, mobius, require_tau
-from .moments import MomentMatrix, a_matrix, a_matrix_dtau, solve_id_minus, x_blocks
+from .moments import MomentMatrix, _a_matrix, a_matrix, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
@@ -81,6 +81,12 @@ def in_domain_eps(p: EpsPoint) -> DomainCheck:
     return DomainCheck(margin < 1.0, margin)
 
 
+def _require_eps_domain(p: EpsPoint) -> None:
+    check = in_domain_eps(p)
+    if not check.ok:
+        raise DomainError(f"(tau1, tau2, eps) outside D^eps, margin {check.margin:.3f}")
+
+
 def period_matrix_eps(p: EpsPoint, n: int = 12,
                       tol: SeriesTolerance = DEFAULT_TOL,
                       half_power_sign: int = 1) -> PeriodMatrix:
@@ -104,11 +110,10 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     d x12(1) = x21.dA1 u2 + u1.dA2 x12,  d u2(1) = u2.dA1 u2 + x12.dA2 x12,
     and d u1(1) is the latter with the labels swapped.
     """
-    check = in_domain_eps(p)
-    if not check.ok:
-        raise DomainError(f"(tau1, tau2, eps) outside D^eps, margin {check.margin:.3f}")
-    a1 = a_matrix(p.tau1, p.eps, n, tol, half_power_sign).entries
-    a2 = a_matrix(p.tau2, p.eps, n, tol, half_power_sign).entries
+    _require_eps_domain(p)
+    t1, t2 = Torus(p.tau1, tol), Torus(p.tau2, tol)
+    a1 = _a_matrix(t1.eisenstein(2 * n), p.eps, n, half_power_sign).entries
+    a2 = _a_matrix(t2.eisenstein(2 * n), p.eps, n, half_power_sign).entries
     rhs = np.zeros((n, 2), dtype=complex)
     rhs[0, 0] = 1.0
     rhs[:, 1] = a1[:, 0]
@@ -123,8 +128,8 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
         return omega, None
     x21 = a2 @ u1
     x21[0] += 1.0
-    da1 = a_matrix_dtau(p.tau1, p.eps, n, tol, half_power_sign).entries
-    da2 = a_matrix_dtau(p.tau2, p.eps, n, tol, half_power_sign).entries
+    da1 = _a_matrix(t1.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
+    da2 = _a_matrix(t2.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
     kk = np.arange(1, n + 1)
     half = (kk[:, None] + kk[None, :]) / 2.0
     h1, h2 = a1 * half, a2 * half  # eps dA1/deps, eps dA2/deps
@@ -177,9 +182,7 @@ def necklace_period_eps(p: EpsPoint, max_eps_order: int,
 
     Agrees with ``period_matrix_eps`` to O(eps^(max_eps_order+1)).
     """
-    check = in_domain_eps(p)
-    if not check.ok:
-        raise DomainError(f"point outside D^eps, margin {check.margin:.3f}")
+    _require_eps_domain(p)
     if max_eps_order < 0:
         raise InvalidArgumentError("max_eps_order must be >= 0")
     om = {(1, 1): 0j, (1, 2): 1.0 + 0j, (2, 1): 1.0 + 0j, (2, 2): 0j}
@@ -216,22 +219,19 @@ def bilinear_form_eps(p: EpsPoint, x: complex, y: complex,
     a, b = which_surface_pair
     if a not in (1, 2) or b not in (1, 2):
         raise InvalidArgumentError("surface labels must be 1 or 2")
-    check = in_domain_eps(p)
-    if not check.ok:
-        raise DomainError(f"point outside D^eps, margin {check.margin:.3f}")
-    taus = {1: p.tau1, 2: p.tau2}
-    a1 = a_matrix(p.tau1, p.eps, n, tol)
-    a2 = a_matrix(p.tau2, p.eps, n, tol)
-    x11, x12, x21, x22 = x_blocks(a1, a2)
+    _require_eps_domain(p)
+    tori = {1: Torus(p.tau1, tol), 2: Torus(p.tau2, tol)}
+    x11, x12, x21, x22 = x_blocks(_a_matrix(tori[1].eisenstein(2 * n), p.eps, n),
+                                  _a_matrix(tori[2].eisenstein(2 * n), p.eps, n))
     xb = {(1, 1): x11, (1, 2): x12, (2, 1): x21, (2, 2): x22}
     se = np.sqrt(complex(p.eps))
-    pk_x = weierstrass_range(n + 1, taus[a], x, tol)
-    pk_y = weierstrass_range(n + 1, taus[b], y, tol)
+    pk_x = tori[a].weierstrass(n + 1, x)
+    pk_y = tori[b].weierstrass(n + 1, y)
     vec_x = np.array([math.sqrt(k) * se**k * pk_x[k + 1] for k in range(1, n + 1)])
     vec_y = np.array([math.sqrt(k) * se**k * pk_y[k + 1] for k in range(1, n + 1)])
     if a == b:
         abar = 3 - a
-        base = weierstrass_range(2, taus[a], x - y, tol)[2]
+        base = tori[a].weierstrass(2, x - y)[2]
         return base + vec_x @ xb[(abar, abar)] @ vec_y
     return vec_x @ (-np.eye(n) + xb[(3 - a, a)]) @ vec_y
 

@@ -111,9 +111,6 @@ class GradedPoly:
     def truncate(self, max_pow2: int) -> "GradedPoly":
         return GradedPoly({k: v for k, v in self.terms.items() if k[0] <= max_pow2})
 
-    def min_pow2(self) -> int | None:
-        return min((k[0] for k in self.terms), default=None)
-
     def coefficient_of_power(self, power: int) -> "GradedPoly":
         """Sub-polynomial multiplying parameter^power (integer power)."""
         return GradedPoly({(0, m): c for (p, m), c in self.terms.items()

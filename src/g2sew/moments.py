@@ -18,13 +18,10 @@ import numpy as np
 from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
+    Torus,
     _comb_ratio,
-    _EisensteinTable,
     _log_prime_form_dtau,
     _weierstrass_dtau,
-    _weierstrass_table,
-    eisenstein_dtau_range,
-    eisenstein_range,
 )
 from .errors import (
     DomainError,
@@ -32,7 +29,6 @@ from .errors import (
     NearDegenerateError,
     TruncationError,
 )
-from .lattice import require_tau
 
 _SOLVE_RTOL = 1e-12
 
@@ -154,63 +150,50 @@ def a_matrix(tau: complex, eps: complex, n: int,
              half_power_sign: int = 1) -> MomentMatrix:
     """Torus moment matrix A(k,l) = eps^((k+l)/2)/sqrt(kl) * C(k,l,tau),
     that is S(eps) K(E) S(eps)."""
-    tau = require_tau(tau)
-    s = _scaling(eps, n, half_power_sign)
-    return MomentMatrix(n, _sks(eisenstein_range(2 * n, tau, tol), s))
+    return _a_matrix(Torus(tau, tol).eisenstein(2 * n), eps, n, half_power_sign)
 
 
-def a_matrix_dtau(tau: complex, eps: complex, n: int,
-                  tol: SeriesTolerance = DEFAULT_TOL,
-                  half_power_sign: int = 1) -> MomentMatrix:
-    """dA/dtau = S(eps) K(dE/dtau) S(eps).
+def _a_matrix(table, eps: complex, n: int, half_power_sign: int = 1) -> MomentMatrix:
+    """S(eps) K(table) S(eps) from a table indexed by weight through 2n: A
+    from the E_k of a torus, dA/dtau from its dE_k/dtau.
 
     dA/deps needs no table: it is the diagonal scaling A(k,l) (k+l)/(2 eps).
     """
-    tau = require_tau(tau)
-    s = _scaling(eps, n, half_power_sign)
-    return MomentMatrix(n, _sks(eisenstein_dtau_range(2 * n, tau, tol), s))
+    return MomentMatrix(n, _sks(table, _scaling(eps, n, half_power_sign)))
 
 
-def rho_moments(tau: complex, w: complex, rho: complex, n: int,
-                tol: SeriesTolerance = DEFAULT_TOL,
+def rho_moments(t: Torus, w: complex, rho: complex, n: int,
                 half_power_sign: int = 1) -> tuple[BlockMomentMatrix, MomentVector]:
-    """(R, beta) of the rho-formalism from one E_k table and one P_k(tau, w)
-    table (k <= 2n).
+    """(R, beta) of the rho-formalism at the torus t, from its E_k and its
+    P_k(tau, w) (k <= 2n).
 
     R_ab(k,l) = -rho^((k+l)/2)/sqrt(kl) times D(k,l,tau,w) on block (1,1),
     D(l,k,tau,w) on block (2,2) and C(k,l,tau) off the diagonal;
     beta_a(k) = rho^(k/2)/sqrt(k) (P_k(tau,w) - E_k(tau)) * [-1, (-1)^k]
     (P_1 has no Eisenstein term).
     """
-    return _rho_moments(_EisensteinTable(tau, tol), w, rho, n, half_power_sign)
-
-
-def _rho_moments(table: _EisensteinTable, w: complex, rho: complex, n: int,
-                 half_power_sign: int) -> tuple[BlockMomentMatrix, MomentVector]:
-    """``rho_moments`` at the table's tau, reading the E_k of ``table`` (the
-    Laurent route of P_k reads it too)."""
     s = _scaling(rho, n, half_power_sign)
-    return _rho_pair(table.upto(2 * n), _weierstrass_table(2 * n, table, w), s)
+    return _rho_pair(t.eisenstein(2 * n), t.weierstrass(2 * n, w), s)
 
 
 def r_matrix(tau: complex, w: complex, rho: complex, n: int,
              tol: SeriesTolerance = DEFAULT_TOL,
              half_power_sign: int = 1) -> BlockMomentMatrix:
     """Self-sewing block moment matrix R of ``rho_moments``."""
-    return rho_moments(tau, w, rho, n, tol, half_power_sign)[0]
+    return rho_moments(Torus(tau, tol), w, rho, n, half_power_sign)[0]
 
 
 def beta_vector(tau: complex, w: complex, rho: complex, n: int,
                 tol: SeriesTolerance = DEFAULT_TOL,
                 half_power_sign: int = 1) -> MomentVector:
     """Self-sewing moment vector beta of ``rho_moments``."""
-    return rho_moments(tau, w, rho, n, tol, half_power_sign)[1]
+    return rho_moments(Torus(tau, tol), w, rho, n, half_power_sign)[1]
 
 
-def _rho_moments_jacobian(table: _EisensteinTable, w: complex, rho: complex, n: int):
+def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     """(R, beta), (dR/dw, dbeta/dw), (dR/dtau, dbeta/dtau), d log K/dw and
-    d log K/dtau at the table's tau, from the E_k of ``table``, one
-    dE_k/dtau table and one P_k(tau, w) table reaching weight 2n + 2.
+    d log K/dtau at the torus t, from its E_k and dE_k/dtau and its
+    P_k(tau, w) reaching weight 2n + 2.
 
     Each pair is ``_rho_pair`` of a table pair: (E, P), then (0, dP/dw)
     with dP_k/dw = -k P_(k+1), then (dE/dtau, dP/dtau) with dP_k/dtau from
@@ -220,14 +203,13 @@ def _rho_moments_jacobian(table: _EisensteinTable, w: complex, rho: complex, n: 
     d log K/dw = P_1 and d log K/dtau = pi*i (P_1^2 - P_2 + 3 E_2).
     """
     s = _scaling(rho, n, 1)
-    eis = table.upto(2 * n)
-    pks = np.asarray(_weierstrass_table(2 * n + 2, table, w))
+    eis = t.eisenstein(2 * n)
+    pks = np.asarray(t.weierstrass(2 * n + 2, w))
     dpks_dw = np.zeros(2 * n + 1, dtype=complex)
     dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
-    deis_dtau = eisenstein_dtau_range(2 * n, table.tau, table.tol)
     return (_rho_pair(eis, pks, s), _rho_pair(np.zeros(2 * n + 1), dpks_dw, s),
-            _rho_pair(deis_dtau, _weierstrass_dtau(pks), s), complex(pks[1]),
-            _log_prime_form_dtau(pks[1], pks[2], eis[2]))
+            _rho_pair(t.eisenstein_dtau(2 * n), _weierstrass_dtau(pks), s),
+            complex(pks[1]), _log_prime_form_dtau(pks[1], pks[2], eis[2]))
 
 
 def sphere_moments(chi: complex, n: int,

@@ -16,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (
-    DEFAULT_TOL,
-    SeriesTolerance,
-    _EisensteinTable,
-    _prime_form,
-    eisenstein,
-)
+from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from . import epsilon
 from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
 from .errors import BudgetError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
-from .moments import _rho_moments, _rho_moments_jacobian, solve_id_minus
+from .moments import _rho_moments_jacobian, rho_moments, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -91,10 +85,10 @@ def in_domain_rho(p: RhoPoint) -> DomainCheck:
     return DomainCheck(margin < 1.0, margin)
 
 
-def _log_head(p: RhoPoint, table: _EisensteinTable) -> complex:
-    """Branch-resolved logarithm Log(-rho / K(tau,w)^2) + 2pi*i*branch, the
-    prime form reading the E_k of ``table`` (an E_k table at p.tau)."""
-    k = _prime_form(table, p.w)
+def _log_head(p: RhoPoint, t: Torus) -> complex:
+    """Branch-resolved logarithm Log(-rho / K(tau,w)^2) + 2pi*i*branch, with
+    the prime form of the torus t at p.tau."""
+    k = t.prime_form(p.w)
     return cmath.log(-p.rho / (k * k)) + TWO_PI_I * p.branch
 
 
@@ -109,9 +103,9 @@ def period_matrix_rho(p: RhoPoint, n: int = 12,
     where sigma sums block entries at (k,l) = (1,1).
     """
     _require_rho_domain(p)
-    table = _EisensteinTable(p.tau, tol)
-    r, beta = _rho_moments(table, p.w, p.rho, n, half_power_sign)
-    return _rho_solve(p, r, beta, table, half_power_sign)[0]
+    t = Torus(p.tau, tol)
+    r, beta = rho_moments(t, p.w, p.rho, n, half_power_sign)
+    return _rho_solve(p, r, beta, t, half_power_sign)[0]
 
 
 def _require_rho_domain(p: RhoPoint) -> None:
@@ -120,7 +114,7 @@ def _require_rho_domain(p: RhoPoint) -> None:
         raise DomainError(f"(tau, w, rho) outside D^rho, margin {check.margin:.3f}")
 
 
-def _rho_solve(p: RhoPoint, r, beta, table: _EisensteinTable, half_power_sign: int):
+def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int):
     """Omega from one factorization of I - R, with the solutions
     g = (I-R)^-1 u (u the sum of the unit vectors at k = 1) and
     z = (I-R)^-1 beta_bar that its derivatives reuse.
@@ -137,7 +131,7 @@ def _rho_solve(p: RhoPoint, r, beta, table: _EisensteinTable, half_power_sign: i
     sr = half_power_sign * cmath.sqrt(p.rho)
     om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
     om12 = p.w - sr * (beta.flat @ g)
-    om22 = _log_head(p, table) - beta.flat @ z
+    om22 = _log_head(p, t) - beta.flat @ z
     return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I), g, z
 
 
@@ -187,17 +181,13 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
     if max_rho_order < 1:
         raise InvalidArgumentError("max_rho_order must be >= 1")
     n = max_rho_order
-    table = _EisensteinTable(p.tau, tol)
-    r, beta = _rho_moments(table, p.w, p.rho, n, 1)
+    t = Torus(p.tau, tol)
+    r, beta = rho_moments(t, p.w, p.rho, n)
     bbar = beta.barred()
 
-    def beta_at(ka):
+    def at(ka):  # flat index of the label (k, a)
         k, a = ka
-        return beta.flat[(a - 1) * n + k - 1]
-
-    def bbar_at(ka):
-        k, a = ka
-        return bbar.flat[(a - 1) * n + k - 1]
+        return (a - 1) * n + k - 1
 
     om11 = 0j
     om_b1 = 0j
@@ -208,11 +198,11 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
         if k0 == 1 and k1 == 1:
             om11 += w
         if k1 == 1:
-            om_b1 += beta_at(start) * w
-        om_bb += beta_at(start) * w * bbar_at(end)
+            om_b1 += beta.flat[at(start)] * w
+        om_bb += beta.flat[at(start)] * w * bbar.flat[at(end)]
     om11_full = TWO_PI_I * p.tau - p.rho * om11
     om12_full = p.w - sr * om_b1
-    om22_full = _log_head(p, table) - om_bb
+    om22_full = _log_head(p, t) - om_bb
     return PeriodMatrix(om11_full / TWO_PI_I, om12_full / TWO_PI_I,
                         om22_full / TWO_PI_I)
 
@@ -227,7 +217,8 @@ def l_action_rho(g: LElement, p: RhoPoint,
     The integer branch of the image realizes those laws exactly.
     """
     _require_rho_domain(p)
-    head = _log_head(p, _EisensteinTable(p.tau, tol))
+    t = Torus(p.tau, tol)
+    head = _log_head(p, t)
     if g.kind == "mu":
         a, b, c = g.abc
         img = RhoPoint(p.tau, p.w + TWO_PI_I * (a * p.tau + b), p.rho, 0)
@@ -237,8 +228,8 @@ def l_action_rho(g: LElement, p: RhoPoint,
         j = c1 * p.tau + d1
         img = RhoPoint(mobius(g.mat, p.tau), p.w / j, p.rho / (j * j), 0)
         lifted = head - c1 * p.w**2 / (TWO_PI_I * j)
-    # branch-0 head at the image point
-    base = _log_head(img, _EisensteinTable(img.tau, tol))
+    # branch-0 head at the image point; mu keeps tau, and with it the torus
+    base = _log_head(img, t if g.kind == "mu" else Torus(img.tau, tol))
     shift = (lifted - base) / TWO_PI_I
     branch = round(shift.real)
     if abs(shift - branch) > 1e-6:
@@ -304,10 +295,10 @@ def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
     """
     p = c.rho_point()
     _require_rho_domain(p)
-    table = _EisensteinTable(p.tau, tol)
+    t = Torus(p.tau, tol)
     (r, beta), (dr_dw, dbeta_dw), (dr_dtau, dbeta_dtau), p1, dlogk_dtau = (
-        _rho_moments_jacobian(table, p.w, p.rho, n))
-    omega, g, z = _rho_solve(p, r, beta, table, 1)
+        _rho_moments_jacobian(t, p.w, p.rho, n))
+    omega, g, z = _rho_solve(p, r, beta, t, 1)
     kk = np.tile(np.arange(1, n + 1), 2)
     dr_drho = r.flat * (kk[:, None] + kk[None, :]) / (2.0 * p.rho)
     dbeta_drho = beta.flat * kk / (2.0 * p.rho)

@@ -163,7 +163,7 @@ class TestEisenstein:
     @pytest.mark.parametrize("tau", [1j, 0.31 + 0.87j])
     def test_dtau_table_matches_central_difference(self, tau):
         h = 1e-6
-        d = elliptic.eisenstein_dtau_range(48, tau)
+        d = elliptic.Torus(tau).eisenstein_dtau(48)
         plus = eisenstein_range(48, tau + h)
         minus = eisenstein_range(48, tau - h)
         for k in range(2, 49, 2):
@@ -406,6 +406,43 @@ class TestPrimeForm:
     def test_series_route_radius_guard(self):
         with pytest.raises(InvalidArgumentError):
             prime_form(1j, 10.0, route="series")
+
+
+class TestTorus:
+    """One Torus serves every consumer of an evaluation; what it returns must
+    not depend on which consumer grew its E_k table first."""
+
+    OPS = {
+        "eisenstein": lambda t, w: t.eisenstein(30),
+        "eisenstein_dtau": lambda t, w: t.eisenstein_dtau(30),
+        "weierstrass": lambda t, w: t.weierstrass(20, w),
+        "prime_form": lambda t, w: t.prime_form(w),
+    }
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.25j], ids=["fundamental", "skewed"])
+    @pytest.mark.parametrize("route", ["laurent", "qz"])
+    def test_shared_equals_fresh_in_any_order(self, tau, route):
+        dmin = lattice_min(tau)
+        if route == "laurent":
+            w = 0.3 * dmin * cmath.exp(0.4j)
+        else:
+            w = TWO_PI_I * (0.5 * tau + 0.5)  # a half period, far from the lattice
+        assert (abs(reduce_mod_lattice(tau, w)[0]) < 0.5 * dmin) == (route == "laurent")
+        fresh = {name: op(elliptic.Torus(tau), w) for name, op in self.OPS.items()}
+        names = list(self.OPS)
+        # each consumer asked first, and each asked before and after the others
+        orders = [names[i:] + names[:i] for i in range(len(names))]
+        for order in orders + [o[::-1] for o in orders]:
+            t = elliptic.Torus(tau)
+            for name in order:
+                assert self.OPS[name](t, w) == fresh[name], (order, name)
+
+    def test_wrappers_read_a_fresh_torus(self):
+        tau, w = 0.3 + 0.25j, 0.2 - 0.1j
+        t = elliptic.Torus(tau)
+        assert eisenstein_range(24, tau) == t.eisenstein(24)
+        assert weierstrass_range(12, tau, w) == t.weierstrass(12, w)
+        assert prime_form(tau, w) == t.prime_form(w)
 
 
 class TestEta:

@@ -76,6 +76,15 @@ class TestDomain:
     def test_rejects_large_eps(self):
         assert not in_domain_eps(EpsPoint(1j, 1j, 10.0)).ok
 
+    @pytest.mark.parametrize("call", [
+        lambda p: period_matrix_eps(p, 12),
+        lambda p: necklace_period_eps(p, 4),
+        lambda p: bilinear_form_eps(p, 0.3 + 0.1j, 0.2 - 0.2j, (1, 2), 12)],
+        ids=["period", "necklace", "bilinear"])
+    def test_every_eps_route_shares_one_guard(self, call):
+        with pytest.raises(DomainError, match="outside D\\^eps"):
+            call(EpsPoint(1j, 1j, 10.0))
+
     def test_g_action_preserves_domain(self):
         for p in random_points(4):
             for gel in GENERATORS.values():
@@ -200,6 +209,15 @@ class TestBilinearForm:
             f1 = bilinear_form_eps(p, x, y, (a, b), 10)
             f2 = bilinear_form_eps(p, y, x, (b, a), 10)
             assert abs(f1 - f2) < 1e-10 * max(1.0, abs(f1))
+
+    @pytest.mark.parametrize("pair, calls", [((1, 1), 38), ((1, 2), 52)])
+    def test_one_torus_per_tau(self, count_calls, pair, calls):
+        # A_a reads E_2..E_24 of torus a; the Laurent route of P_13(tau_a, x)
+        # grows that same table to weight 53, and x - y on one torus needs no
+        # more: (1,1) costs 26 + 12 weights, (1,2) costs 26 + 26
+        counts = count_calls("eisenstein_q")
+        bilinear_form_eps(EpsPoint(1j, 2j, 0.1), 0.3 + 0.1j, 0.2 - 0.2j, pair, 12)
+        assert counts == {"eisenstein_q": calls}
 
     def test_cross_term_leading_order(self):
         # omega(x in S1, y in S2) ~ -sum_k a_1(k,x) a_2(k,y) at small eps
