@@ -40,7 +40,6 @@ from .epsilon import (
 )
 from .errors import (
     ActionSingularError,
-    BudgetError,
     ConvergenceError,
     DomainError,
     InvalidArgumentError,
@@ -70,6 +69,7 @@ from .moments import (
     beta_vector,
     det_id_minus,
     det_id_minus_product,
+    neumann_id_minus,
     r_matrix,
     solve_id_minus,
     sphere_moments,

@@ -157,7 +157,8 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     q = complex(q)
     if not abs(q) < 1.0:
         raise InvalidArgumentError(f"|q| must be < 1, got {abs(q)}")
-    const = complex(Fraction(-_bernoulli_list(k)[k], math.factorial(k)))
+    bk = _bernoulli_list(k)[k]
+    const = -bk.numerator / (bk.denominator * math.factorial(k))
     return const + _eisenstein_q_sum(k, q, tol, 0)
 
 
@@ -451,6 +452,8 @@ class Torus:
         on the lattice; z there returns 0 exactly.
         """
         tau, tol = self.tau, self.tol
+        if route not in ("auto", "series", "theta"):
+            raise InvalidArgumentError(f"unknown prime_form route {route!r}")
         z = complex(z)
         dmin = self.dmin
         z_near, _, _ = reduce_mod_lattice(tau, z)
@@ -463,23 +466,20 @@ class Torus:
                 raise InvalidArgumentError(
                     f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
             r = abs(z) / dmin
-            eis = self.eisenstein(64)
             total = 0j
             zp = z * z
             k = 2
             while True:
-                total += eis[k] / k * zp
+                # the table grows one weight at a time, as far as the tail
+                # test reads it
+                total += self.eisenstein(k)[k] / k * zp
                 zp *= z * z
                 k += 2
                 tail = _EISEN_LATTICE_BOUND * r**k / (k * (1.0 - r * r))
                 if tail < tol.abs_tol:
                     break
-                if k >= len(eis):
-                    eis = self.eisenstein(2 * len(eis))
             return z * cmath.exp(-total)
-        if route == "theta":
-            return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3
-        raise InvalidArgumentError(f"unknown prime_form route {route!r}")
+        return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3
 
 
 def eisenstein_range(kmax: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> list[complex]:

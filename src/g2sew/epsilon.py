@@ -11,20 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
-from .errors import (
-    BudgetError,
-    ConvergenceError,
-    DomainError,
-    InvalidArgumentError,
-)
-from .lattice import TWO_PI_I, lattice_min, mobius, require_tau
-from .moments import MomentMatrix, _a_matrix, a_matrix, solve_id_minus, x_blocks
+from .errors import ConvergenceError, DomainError, InvalidArgumentError
+from .lattice import TWO_PI_I, lattice_min, mobius, require_sl2, require_tau
+from .moments import _a_matrix, a_matrix, neumann_id_minus, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
 SL2_S = ((0, -1), (1, 0))
-
-_NECKLACE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,7 @@ class GElement:
         if self.kind not in ("gamma1", "gamma2", "beta"):
             raise InvalidArgumentError(f"unknown G element kind {self.kind!r}")
         if self.kind != "beta":
-            (a, b), (c, d) = self.mat
-            if a * d - b * c != 1:
-                raise InvalidArgumentError("gamma must have determinant 1")
+            require_sl2(self.mat)
 
     def sp4(self) -> np.ndarray:
         g = np.eye(4, dtype=int)
@@ -98,6 +89,15 @@ def period_matrix_eps(p: EpsPoint, n: int = 12,
     return _period_eps(p, n, tol, half_power_sign)[0]
 
 
+def _omega_eps(p: EpsPoint, x12: complex, u1: complex, u2: complex) -> PeriodMatrix:
+    """Omega from the label-1 entries x12 = ((I - A1 A2)^-1)(1,1),
+    u1 = ((I - A1 A2)^-1 A1)(1,1) and u2 = (A2 (I - A1 A2)^-1)(1,1)."""
+    om11 = TWO_PI_I * p.tau1 + p.eps * u2
+    om22 = TWO_PI_I * p.tau2 + p.eps * u1
+    om12 = -p.eps * x12
+    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+
+
 def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
                 half_power_sign: int = 1, jacobian: bool = False):
     """(Omega, J) with J = d(Om11, Om22, Om12)/d(tau1, tau2, eps) when asked
@@ -120,10 +120,7 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     sol = solve_id_minus(a1 @ a2, rhs)
     x12, u1 = sol[:, 0], sol[:, 1]
     u2 = a2 @ x12
-    om11 = TWO_PI_I * p.tau1 + p.eps * u2[0]
-    om22 = TWO_PI_I * p.tau2 + p.eps * u1[0]
-    om12 = -p.eps * x12[0]
-    omega = PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    omega = _omega_eps(p, x12[0], u1[0], u2[0])
     if not jacobian:
         return omega, None
     x21 = a2 @ u1
@@ -149,63 +146,26 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     return omega, jac
 
 
-def _necklace_chains(a_mats: dict[int, MomentMatrix], budget: int):
-    """Yield (first_type, last_type, weight) over alternating chains with end
-    labels 1 and interior labels summing to <= budget."""
-    count = 0
-    for t0 in (1, 2):
-        # chain state: interior labels chosen so far, accumulated weight of
-        # the edges consumed so far
-        def rec(labels, weight, prev_label, next_type, spent):
-            nonlocal count
-            # close the chain: final edge prev_label -> 1 of type next_type
-            w_close = weight * a_mats[next_type].entries[prev_label - 1, 0]
-            yield next_type, w_close
-            k = 1
-            while spent + k <= budget:
-                count += 1
-                if count > _NECKLACE_BUDGET:
-                    raise BudgetError("necklace enumeration budget exceeded")
-                w = weight * a_mats[next_type].entries[prev_label - 1, k - 1]
-                if w != 0:
-                    yield from rec(labels + (k,), w, k, 3 - next_type, spent + k)
-                k += 1
-
-        for t_last, w in rec((), 1.0 + 0j, 1, t0, 0):
-            yield t0, t_last, w
-
-
 def necklace_period_eps(p: EpsPoint, max_eps_order: int,
                         tol: SeriesTolerance = DEFAULT_TOL) -> PeriodMatrix:
-    """Independent evaluation of the period matrix by enumerating chequered
-    necklaces with total parameter exponent <= max_eps_order.
-
+    """Period matrix from the chequered necklaces of total parameter exponent
+    <= max_eps_order: the walks from label 1 through M = [[0, A1], [A2, 0]]
+    alternate A1 and A2, so they are (I - M)^-1 [e_(1,1), e_(1,2)] truncated
+    at that order (``neumann_id_minus``), read at label 1 as x12, u1 and u2.
     Agrees with ``period_matrix_eps`` to O(eps^(max_eps_order+1)).
     """
     _require_eps_domain(p)
     if max_eps_order < 0:
         raise InvalidArgumentError("max_eps_order must be >= 0")
-    om = {(1, 1): 0j, (1, 2): 1.0 + 0j, (2, 1): 1.0 + 0j, (2, 2): 0j}
-    # the degenerate necklace N0 (weight 1, exponent 0) sits in the
-    # off-diagonal classes; chains carry exponent 1 + sum of interior labels
-    if max_eps_order >= 1:
-        n = max(1, max_eps_order - 1)
-        a_mats = {1: a_matrix(p.tau1, p.eps, n, tol),
-                  2: a_matrix(p.tau2, p.eps, n, tol)}
-        budget = max_eps_order - 1
-        for t0, t_last, w in _necklace_chains(a_mats, budget):
-            if t0 == 2 and t_last == 2:
-                om[(1, 1)] += w
-            elif t0 == 1 and t_last == 1:
-                om[(2, 2)] += w
-            elif t0 == 1 and t_last == 2:
-                om[(1, 2)] += w
-            else:
-                om[(2, 1)] += w
-    pref = p.eps / TWO_PI_I
-    return PeriodMatrix(p.tau1 + pref * om[(1, 1)],
-                        -pref * 0.5 * (om[(1, 2)] + om[(2, 1)]),
-                        p.tau2 + pref * om[(2, 2)])
+    # interior labels of a chain of exponent <= max_eps_order stay below it
+    n = max(1, max_eps_order - 1)
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    m[:n, n:] = a_matrix(p.tau1, p.eps, n, tol).entries
+    m[n:, :n] = a_matrix(p.tau2, p.eps, n, tol).entries
+    rhs = np.zeros((2 * n, 2), dtype=complex)
+    rhs[0, 0] = rhs[n, 1] = 1.0
+    sol = neumann_id_minus(m, rhs, max_eps_order)
+    return _omega_eps(p, sol[0, 0], sol[0, 1], sol[n, 0])
 
 
 def bilinear_form_eps(p: EpsPoint, x: complex, y: complex,

@@ -55,10 +55,6 @@ class ConvergenceError(SewingError):
         self.last_residual = last_residual
 
 
-class BudgetError(SewingError):
-    """Necklace enumeration exceeded its combinatorial budget."""
-
-
 class ActionSingularError(SewingError):
     """C*Omega + D is singular for the requested symplectic action."""
 

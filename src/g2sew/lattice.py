@@ -21,6 +21,17 @@ def require_tau(tau: complex) -> complex:
     return tau
 
 
+def require_sl2(mat) -> None:
+    """Reject anything but a 2x2 matrix ((a, b), (c, d)) with ad - bc = 1."""
+    try:
+        (a, b), (c, d) = mat
+        det = a * d - b * c
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"expected a 2x2 matrix, got {mat!r}") from None
+    if det != 1:
+        raise InvalidArgumentError(f"matrix {mat!r} must have determinant 1")
+
+
 def lattice_basis(tau: complex) -> tuple[complex, complex]:
     """Standard basis (2*pi*i*tau, 2*pi*i) of Lambda_tau."""
     tau = require_tau(tau)

@@ -242,6 +242,35 @@ def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
+    """(I - M)^-1 rhs truncated at parameter order ``order``, with no solve.
+
+    M is 2x2 blocks of N x N, labels 1..N in each; entry (k,l) carries the
+    parameter to the power (k+l)/2.  sum_j M^j rhs sums walks, and a walk's
+    order is the sum of its edges'.  Those of order <= ``order`` are kept by
+    the doubled-order recursion Y_0 = rhs, Y_c = sum_d M_d Y_(c-d) (M_d the
+    entries of doubled order d), which splits each walk at its first edge.
+    """
+    m = np.asarray(m, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    size = m.shape[0]
+    if (m.shape != (size, size) or size < 2 or size % 2
+            or rhs.shape[:1] != (size,) or order < 0):
+        raise InvalidArgumentError("need a 2N x 2N M, 2N rows of rhs and order >= 0")
+    n = size // 2
+    k = np.arange(size) % n + 1
+    rows = np.arange(size)
+    # ys[n + c] = Y_c, zero below c = 0; vs[e] = M Z_e with Z_e[l] = Y_(e-k_l)[l],
+    # so that Y_c[i] = sum_l M[i,l] Y_(c-k_i-k_l)[l] = vs[c - k_i][i]
+    ys = np.zeros((n + 2 * order + 1,) + rhs.shape, dtype=complex)
+    vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=complex)
+    ys[n] = rhs
+    for c in range(1, 2 * order + 1):
+        vs[c - 1] = m @ ys[n + c - 1 - k, rows]
+        ys[n + c] = vs[np.maximum(c - k, 0), rows]
+    return ys[n:].sum(axis=0)
+
+
 def x_blocks(a1: MomentMatrix, a2: MomentMatrix):
     """X_aa = A_a (I - A_abar A_a)^-1 and X_a,abar = I - (I - A_a A_abar)^-1.
 

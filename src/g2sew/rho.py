@@ -17,11 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
-from . import epsilon
 from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
-from .errors import BudgetError, DomainError, InvalidArgumentError
-from .lattice import TWO_PI_I, lattice_distance, lattice_min, mobius, require_tau
-from .moments import _rho_moments_jacobian, rho_moments, solve_id_minus
+from .errors import DomainError, InvalidArgumentError
+from .lattice import (
+    TWO_PI_I,
+    lattice_distance,
+    lattice_min,
+    mobius,
+    require_sl2,
+    require_tau,
+)
+from .moments import _rho_moments_jacobian, neumann_id_minus, rho_moments, solve_id_minus
 from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -56,9 +62,9 @@ class LElement:
         if self.kind not in ("mu", "gamma1"):
             raise InvalidArgumentError(f"unknown L element kind {self.kind!r}")
         if self.kind == "gamma1":
-            (a, b), (c, d) = self.mat
-            if a * d - b * c != 1:
-                raise InvalidArgumentError("gamma1 must have determinant 1")
+            require_sl2(self.mat)
+        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3):
+            raise InvalidArgumentError(f"mu needs abc = (a, b, c), got {self.abc!r}")
 
     def sp4(self) -> np.ndarray:
         if self.kind == "mu":
@@ -114,10 +120,12 @@ def _require_rho_domain(p: RhoPoint) -> None:
         raise DomainError(f"(tau, w, rho) outside D^rho, margin {check.margin:.3f}")
 
 
-def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int):
+def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int,
+               order: int | None = None):
     """Omega from one factorization of I - R, with the solutions
     g = (I-R)^-1 u (u the sum of the unit vectors at k = 1) and
-    z = (I-R)^-1 beta_bar that its derivatives reuse.
+    z = (I-R)^-1 beta_bar that its derivatives reuse.  With ``order`` given,
+    (I-R)^-1 is instead the necklace sum truncated at that rho order.
 
     R^T is R with its blocks swapped, so beta (I-R)^-1 is z with its blocks
     swapped and needs no second solve.
@@ -126,7 +134,8 @@ def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int):
     rhs = np.zeros((2 * n, 2), dtype=complex)
     rhs[0, 0] = rhs[n, 0] = 1.0
     rhs[:, 1] = beta.barred().flat
-    sol = solve_id_minus(r.flat, rhs)
+    sol = (solve_id_minus(r.flat, rhs) if order is None
+           else neumann_id_minus(r.flat, rhs, order))
     g, z = sol[:, 0], sol[:, 1]
     sr = half_power_sign * cmath.sqrt(p.rho)
     om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
@@ -135,76 +144,18 @@ def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int):
     return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I), g, z
 
 
-def _rho_chain_weights(r, n_order: int, budget: int):
-    """Yield ((k0,a0), (k1,a1), weight) over necklace chains whose total
-    parameter exponent fits the budget; single nodes yield weight 1."""
-    count = 0
-    limit = epsilon._NECKLACE_BUDGET  # one budget for both necklace routes
-    for a0 in (1, 2):
-        for k0 in range(1, budget + 1):
-            yield (k0, a0), (k0, a0), 1.0 + 0j  # degenerate necklace
-
-    def entry(ka, lb):
-        (k, a), (l, b) = ka, lb
-        return r.flat[(a - 1) * n_order + k - 1, (b - 1) * n_order + l - 1]
-
-    def rec(cur, weight, spent):
-        nonlocal count
-        for b in (1, 2):
-            for l in range(1, budget + 1):
-                # edge (k,a) -> (l,b) costs (k+l)/2; track via doubled units
-                cost2 = cur[0] + l
-                if spent + cost2 > 2 * budget:
-                    break
-                count += 1
-                if count > limit:
-                    raise BudgetError("necklace enumeration budget exceeded")
-                w = weight * entry(cur, (l, b))
-                if w != 0:
-                    yield (l, b), w
-                    yield from rec((l, b), w, spent + cost2)
-
-    for a0 in (1, 2):
-        for k0 in range(1, budget + 1):
-            start = (k0, a0)
-            # exponent bookkeeping in half units: chain spans (k0+...+kend)/2
-            for end, w in rec(start, 1.0 + 0j, 0):
-                yield start, end, w
-
-
 def necklace_period_rho(p: RhoPoint, max_rho_order: int,
                         tol: SeriesTolerance = DEFAULT_TOL) -> PeriodMatrix:
     """Necklace-sum evaluation of the self-sewing period matrix, exact in
-    rho through max_rho_order; agrees with the matrix route to
-    O(rho^(max_rho_order+1))."""
+    rho through max_rho_order: the matrix route's formulas with the walks
+    through R up to that order (``neumann_id_minus``) in place of (I - R)^-1.
+    Agrees with ``period_matrix_rho`` to O(rho^(max_rho_order+1))."""
     _require_rho_domain(p)
     if max_rho_order < 1:
         raise InvalidArgumentError("max_rho_order must be >= 1")
-    n = max_rho_order
     t = Torus(p.tau, tol)
-    r, beta = rho_moments(t, p.w, p.rho, n)
-    bbar = beta.barred()
-
-    def at(ka):  # flat index of the label (k, a)
-        k, a = ka
-        return (a - 1) * n + k - 1
-
-    om11 = 0j
-    om_b1 = 0j
-    om_bb = 0j
-    sr = cmath.sqrt(p.rho)
-    for start, end, w in _rho_chain_weights(r, n, max_rho_order):
-        (k0, a0), (k1, a1) = start, end
-        if k0 == 1 and k1 == 1:
-            om11 += w
-        if k1 == 1:
-            om_b1 += beta.flat[at(start)] * w
-        om_bb += beta.flat[at(start)] * w * bbar.flat[at(end)]
-    om11_full = TWO_PI_I * p.tau - p.rho * om11
-    om12_full = p.w - sr * om_b1
-    om22_full = _log_head(p, t) - om_bb
-    return PeriodMatrix(om11_full / TWO_PI_I, om12_full / TWO_PI_I,
-                        om22_full / TWO_PI_I)
+    r, beta = rho_moments(t, p.w, p.rho, max_rho_order)
+    return _rho_solve(p, r, beta, t, 1, max_rho_order)[0]
 
 
 def l_action_rho(g: LElement, p: RhoPoint,

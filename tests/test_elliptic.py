@@ -24,6 +24,7 @@ from g2sew import (
     d_coeff,
     dedekind_eta,
     eisenstein,
+    eisenstein_q,
     eisenstein_range,
     lattice_min,
     prime_form,
@@ -127,6 +128,12 @@ class TestEisenstein:
         # frozen from the direct summation oracle; equals -1/(4*pi)
         assert abs(eisenstein(2, 1j) - (-0.07957747154594767)) < 1e-13
         assert abs(eisenstein(2, 1j) - eisenstein_oracle(2, 1j)) < 1e-14
+
+    def test_constant_term_matches_fraction(self):
+        # at q = 0 only the constant -B_k/k! is left, formed by one int division
+        for k in range(2, 401, 2):
+            ref = complex(Fraction(-bernoulli(k), math.factorial(k)))
+            assert repr(eisenstein_q(k, 0)) == repr(ref), k
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
     @pytest.mark.parametrize("tau", [1j, 0.25 + 0.8j, -0.4 + 1.7j])
@@ -402,6 +409,12 @@ class TestPrimeForm:
                 a = prime_form(tau, z, route="series")
                 b = prime_form(tau, z, route="theta")
                 assert abs(a - b) < 1e-10
+
+    def test_series_route_reads_only_the_weights_it_needs(self, count_calls):
+        # the tail test certifies at weight 20 for |z|/D = 0.2: E_2..E_20
+        counts = count_calls("eisenstein_q")
+        prime_form(1j, 1 + 0.8j)
+        assert counts == {"eisenstein_q": 10}
 
     def test_series_route_radius_guard(self):
         with pytest.raises(InvalidArgumentError):

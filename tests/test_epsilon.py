@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from g2sew import (
-    BudgetError,
     ChiPoint,
     ConvergenceError,
     DomainError,
     EpsPoint,
     GElement,
+    InvalidArgumentError,
+    LElement,
     PeriodMatrix,
     RhoPoint,
     SL2_S,
@@ -31,6 +32,7 @@ from g2sew import (
     lattice_min,
     necklace_period_eps,
     period_matrix_eps,
+    prime_form,
     sp4_action,
     weierstrass_p,
 )
@@ -189,11 +191,6 @@ class TestNecklace:
             margin = abs(p.eps) / bound
             assert nk.max_abs_diff(mt) < max(50 * margin**9, 1e-12)
 
-    def test_budget_error(self, monkeypatch):
-        monkeypatch.setattr(eps_mod, "_NECKLACE_BUDGET", 50)
-        with pytest.raises(BudgetError):
-            necklace_period_eps(EpsPoint(1j, 2j, 0.1), 12)
-
 
 class TestBilinearForm:
     def test_degeneration_limit_same_torus(self):
@@ -289,6 +286,21 @@ class TestGroupAction:
         assert abs(out.omega11 - (om.omega11 + 1)) < 1e-15
         assert abs(out.omega12 - om.omega12) < 1e-15
         assert abs(out.omega22 - om.omega22) < 1e-15
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GElement("gamma1"),
+    lambda: LElement("gamma1"),
+    lambda: LElement("mu"),
+    lambda: GElement("gamma2", ((1, 0), (0, 1), (1, 1))),
+    lambda: LElement("gamma1", mat=((1, 0), (0, 1), (1, 1))),
+    lambda: GElement("gamma1", ((1, 1), (0, 2))),
+    lambda: prime_form(1j, 0, route="bogus"),
+], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
+        "prime-form-route"])
+def test_outside_input_raises_typed_error(make):
+    with pytest.raises(InvalidArgumentError):
+        make()
 
 
 class TestEquivariance:

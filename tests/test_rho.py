@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from g2sew import (
-    BudgetError,
     ChiPoint,
     DomainError,
     LElement,
@@ -174,11 +173,6 @@ class TestNecklace:
             nk = necklace_period_rho(p, 6)
             mt = period_matrix_rho(p, 14)
             assert nk.max_abs_diff(mt) < 1e-10
-
-    def test_budget_error(self, monkeypatch):
-        monkeypatch.setattr(rho_mod.epsilon, "_NECKLACE_BUDGET", 20)
-        with pytest.raises(BudgetError):
-            necklace_period_rho(RhoPoint(1j, 1j * math.pi, 0.02), 8)
 
 
 class TestLAction:
