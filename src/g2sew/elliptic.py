@@ -97,27 +97,33 @@ def _sigma(k: int, n: int) -> int:
     return s
 
 
-def _eisenstein_q_sum(k: int, q: complex, tol: SeriesTolerance, d: int) -> complex:
-    """sum_{n>=1} n^d (2 sigma_{k-1}(n)/(k-1)!) q^n for even k >= 2, |q| < 1.
+def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+    """E_k evaluated directly from the nome q, |q| < 1.
 
-    d = 0 is the q-series of E_k, d = 1 that of (dE_k/dtau) / (2pi*i).  The
-    tail, times (2pi)^d, is certified below abs_tol * min(1, |B_k|/k!): E_k is of
-    that order, ~ 2/(2pi)^k, so anchoring the stop there lets downstream z^k
-    amplification meet the tolerance in relative terms too.  The test runs in
-    log space, where that anchor cannot underflow at high weight.
+    The q-series tail is certified below abs_tol * min(1, |B_k|/k!): E_k is
+    of that order, ~ 2/(2pi)^k, so downstream z^k amplification meets the
+    tolerance in relative terms too.  The test runs in log space, where that
+    anchor cannot underflow at high weight.
     """
-    aq = abs(q)
-    if aq == 0.0:
+    if k < 2:
+        raise InvalidArgumentError(f"eisenstein requires k >= 2, got {k}")
+    if k % 2 == 1:
         return 0j
+    q = complex(q)
+    aq = abs(q)
+    if not aq < 1.0:
+        raise InvalidArgumentError(f"|q| must be < 1, got {aq}")
     bk = _bernoulli_list(k)[k]
+    const = -bk.numerator / (bk.denominator * math.factorial(k))
+    if aq == 0.0:
+        return const + 0j
     log_const = (math.log(abs(bk.numerator)) - math.log(bk.denominator)
                  - math.lgamma(k + 1))
     log_goal = math.log(tol.abs_tol) + min(0.0, log_const)
     fact = math.factorial(k - 1)
-    # n^d sigma_{k-1}(n) <= n^p, so the tail is dominated by the
-    # geometric-ish series u_m = (2 (2pi)^d/(k-1)!) m^p |q|^m once u_{m+1}/u_m < 1
-    p = k + d
-    log_pref = math.log(2.0 * (2.0 * math.pi) ** d) - math.lgamma(k)
+    # sigma_{k-1}(n) <= n^k, so the tail is dominated by the geometric-ish
+    # series u_m = (2/(k-1)!) m^k |q|^m once u_{m+1}/u_m < 1
+    log_pref = math.log(2.0) - math.lgamma(k)
     log_aq = math.log(aq)
     log_q = cmath.log(q)
     total = 0j
@@ -131,35 +137,20 @@ def _eisenstein_q_sum(k: int, q: complex, tol: SeriesTolerance, d: int) -> compl
             except OverflowError:
                 # the coefficient leaves the double range while its term
                 # need not: form the term in log space
-                total += cmath.exp(math.log(2 * sigma) - math.lgamma(k)
-                                   + d * math.log(n) + n * log_q)
+                total += cmath.exp(math.log(2 * sigma) - math.lgamma(k) + n * log_q)
             else:
-                total += (n * c if d else c) * qn
-            log_u = log_pref + p * math.log(n + 1) + (n + 1) * log_aq
-            rho = aq * ((n + 2) / (n + 1)) ** p
+                total += c * qn
+            log_u = log_pref + k * math.log(n + 1) + (n + 1) * log_aq
+            rho = aq * ((n + 2) / (n + 1)) ** k
             if rho < 1.0 and log_u < log_goal + math.log1p(-rho):
-                return total
+                return const + total
     except OverflowError:
         raise RangeOverflowError(
             f"E_{k} q-series coefficient {n} overflows the double range") from None
-    log_achieved = log_pref + p * math.log(tol.max_terms) + tol.max_terms * log_aq
+    log_achieved = log_pref + k * math.log(tol.max_terms) + tol.max_terms * log_aq
     raise ToleranceError(
         f"E_{k} q-series not certified within {tol.max_terms} terms",
         achieved=math.exp(min(log_achieved, 700.0)))
-
-
-def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """E_k evaluated directly from the nome q, |q| < 1."""
-    if k < 2:
-        raise InvalidArgumentError(f"eisenstein requires k >= 2, got {k}")
-    if k % 2 == 1:
-        return 0j
-    q = complex(q)
-    if not abs(q) < 1.0:
-        raise InvalidArgumentError(f"|q| must be < 1, got {abs(q)}")
-    bk = _bernoulli_list(k)[k]
-    const = -bk.numerator / (bk.denominator * math.factorial(k))
-    return const + _eisenstein_q_sum(k, q, tol, 0)
 
 
 def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
@@ -286,22 +277,24 @@ def _p_laurent_route(k: int, z: complex, dmin: float,
     raise ToleranceError(f"P_{k} Laurent series not certified", achieved=t_next)
 
 
-def _weierstrass_dtau(pks) -> np.ndarray:
-    """[dP_0/dtau..dP_K/dtau](tau, z) at fixed z from [P_0..P_(K+2)](tau, z),
-    slot 0 unused (0j).
+def _heat_dtau(table, shift: int) -> np.ndarray:
+    """[dT_0/dtau..dT_K/dtau] from [T_0..T_(K+2)], slot 0 unused (0j), for
+    T = P(tau, z) at fixed z (shift 0) or T = E(tau) (shift 2):
+    dT_k/dtau = pi*i k [(k+1+shift) T_(k+2) - sum_(a+b=k+2; a,b>=1) T_a T_b].
 
     theta_1 solves the heat equation d theta_1/dtau = pi*i d^2 theta_1/dz^2,
     so L = log K, with dL/dz = P_1 and P_(k+1) = -(1/k) dP_k/dz, has
-    dL/dtau = pi*i (L_zz + L_z^2) + const(tau), whence
-    dP_k/dtau = pi*i k [(k+1) P_(k+2) - sum_(j=0..k) P_(j+1) P_(k+1-j)].
+    dL/dtau = pi*i (L_zz + L_z^2) + const(tau), whence the law for P_k.  E_k
+    is the z-regular part of P_k at z -> 0; at k = 2 its law is Ramanujan's
+    dE_2/dtau = 2pi*i (5 E_4 - E_2^2).
     """
-    pks = np.asarray(pks)
-    kmax = len(pks) - 3
-    first = pks[1:kmax + 2]  # P_1..P_(K+1)
+    table = np.asarray(table)
+    kmax = len(table) - 3
+    first = table[1:kmax + 2]  # T_1..T_(K+1)
     conv = np.convolve(first, first)[1:kmax + 1]
     kk = np.arange(1, kmax + 1)
     out = np.zeros(kmax + 1, dtype=complex)
-    out[1:] = 1j * math.pi * kk * ((kk + 1) * pks[3:] - conv)
+    out[1:] = 1j * math.pi * kk * ((kk + 1 + shift) * table[3:] - conv)
     return out
 
 
@@ -363,11 +356,11 @@ def theta1(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
 
 
 class Torus:
-    """E_k, dE_k/dtau, P_k(tau, z) and the prime form K(tau, z) of one torus
-    at one tolerance.  One evaluation reads one Torus per tau (A or R and
-    beta, the Laurent route of P_k, the series route of K), so no weight of
-    E_k is computed twice in it.  Made afresh per evaluation; nothing
-    outlives it."""
+    """E_k, dE_k/dtau (read off the E_k table by the heat law), P_k(tau, z)
+    and the prime form K(tau, z) of one torus at one tolerance.  One
+    evaluation reads one Torus per tau (A or R and beta, the Laurent route
+    of P_k, the series route of K), so no weight of E_k is computed twice in
+    it.  Made afresh per evaluation; nothing outlives it."""
 
     def __init__(self, tau: complex, tol: SeriesTolerance = DEFAULT_TOL):
         self.tau = require_tau(tau)
@@ -388,15 +381,9 @@ class Torus:
         return values[:kmax + 1]
 
     def eisenstein_dtau(self, kmax: int) -> list[complex]:
-        """[dE_0/dtau..dE_kmax/dtau], zero at odd k (slots 0 and 1 unused).
-
-        dE_k/dtau = 2pi*i sum_{n>=1} n (2 sigma_{k-1}(n)/(k-1)!) q^n, with the
-        tail certified by the same test as E_k's.
-        """
-        out = [0j] * (kmax + 1)
-        for k in range(2, kmax + 1, 2):
-            out[k] = TWO_PI_I * _eisenstein_q_sum(k, self.q, self.tol, 1)
-        return out
+        """[dE_0/dtau..dE_kmax/dtau], zero at odd k (slots 0 and 1 unused), by
+        ``_heat_dtau`` from the E_k table to weight kmax + 2."""
+        return _heat_dtau(self.eisenstein(kmax + 2), 2).tolist()
 
     def weierstrass(self, kmax: int, z: complex) -> list[complex]:
         """[P_0..P_kmax](tau, z) with P_0 slot unused (0j).
@@ -478,7 +465,10 @@ class Torus:
                 tail = _EISEN_LATTICE_BOUND * r**k / (k * (1.0 - r * r))
                 if tail < tol.abs_tol:
                     break
-            return z * cmath.exp(-total)
+            try:
+                return z * cmath.exp(-total)
+            except OverflowError:
+                raise RangeOverflowError(f"prime form series overflows at z = {z}") from None
         return -1j * theta1(tau, z, tol) / dedekind_eta(tau, tol) ** 3
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 from .errors import InvalidArgumentError
 
@@ -22,14 +23,13 @@ def require_tau(tau: complex) -> complex:
 
 
 def require_sl2(mat) -> None:
-    """Reject anything but a 2x2 matrix ((a, b), (c, d)) with ad - bc = 1."""
+    """Reject anything but an integer 2x2 matrix ((a, b), (c, d)) with ad - bc = 1."""
     try:
         (a, b), (c, d) = mat
-        det = a * d - b * c
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"expected a 2x2 matrix, got {mat!r}") from None
-    if det != 1:
-        raise InvalidArgumentError(f"matrix {mat!r} must have determinant 1")
+    if not all(isinstance(x, numbers.Integral) for x in (a, b, c, d)) or a * d - b * c != 1:
+        raise InvalidArgumentError(f"matrix {mat!r} must be integer with determinant 1")
 
 
 def lattice_basis(tau: complex) -> tuple[complex, complex]:

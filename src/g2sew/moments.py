@@ -20,8 +20,8 @@ from .elliptic import (
     SeriesTolerance,
     Torus,
     _comb_ratio,
+    _heat_dtau,
     _log_prime_form_dtau,
-    _weierstrass_dtau,
 )
 from .errors import (
     DomainError,
@@ -197,7 +197,7 @@ def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
 
     Each pair is ``_rho_pair`` of a table pair: (E, P), then (0, dP/dw)
     with dP_k/dw = -k P_(k+1), then (dE/dtau, dP/dtau) with dP_k/dtau from
-    the heat equation (``_weierstrass_dtau``).  S(rho) does not depend on
+    the heat equation (``_heat_dtau``).  S(rho) does not depend on
     tau or w.  dR/drho and dbeta/drho need no table: they are the diagonal
     scalings R(k,l) (k+l)/(2 rho) and beta(k) k/(2 rho).
     d log K/dw = P_1 and d log K/dtau = pi*i (P_1^2 - P_2 + 3 E_2).
@@ -208,7 +208,7 @@ def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     dpks_dw = np.zeros(2 * n + 1, dtype=complex)
     dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
     return (_rho_pair(eis, pks, s), _rho_pair(np.zeros(2 * n + 1), dpks_dw, s),
-            _rho_pair(t.eisenstein_dtau(2 * n), _weierstrass_dtau(pks), s),
+            _rho_pair(t.eisenstein_dtau(2 * n), _heat_dtau(pks, 0), s),
             complex(pks[1]), _log_prime_form_dtau(pks[1], pks[2], eis[2]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,9 @@ class LElement:
             raise InvalidArgumentError(f"unknown L element kind {self.kind!r}")
         if self.kind == "gamma1":
             require_sl2(self.mat)
-        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3):
-            raise InvalidArgumentError(f"mu needs abc = (a, b, c), got {self.abc!r}")
+        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3
+                  and all(isinstance(x, numbers.Integral) for x in self.abc)):
+            raise InvalidArgumentError(f"mu needs integers abc = (a, b, c), got {self.abc!r}")
 
     def sp4(self) -> np.ndarray:
         if self.kind == "mu":

@@ -313,7 +313,7 @@ class TestWeierstrass:
         tau, h = 0.2 + 1.1j, 1e-6
         z_red = reduce_mod_lattice(tau, z)[0]
         assert laurent == (abs(z_red) < 0.5 * lattice_min(tau))
-        closed = elliptic._weierstrass_dtau(weierstrass_range(26, tau, z))[1:]
+        closed = elliptic._heat_dtau(weierstrass_range(26, tau, z), 0)[1:]
         fd = (np.array(weierstrass_range(24, tau + h, z))
               - np.array(weierstrass_range(24, tau - h, z)))[1:] / (2 * h)
         scale = (abs(z_red) if laurent else 1.0) ** np.arange(1, 25)
@@ -415,6 +415,14 @@ class TestPrimeForm:
         counts = count_calls("eisenstein_q")
         prime_form(1j, 1 + 0.8j)
         assert counts == {"eisenstein_q": 10}
+
+    def test_series_route_overflow_is_typed(self):
+        # near its radius on a skewed torus the series' exponent leaves the
+        # double range; the theta route gives -1.42+1.58i there
+        tau = 0.2 + 0.4j
+        z = 0.95 * lattice_min(tau) * cmath.exp(2.1j)
+        with pytest.raises(RangeOverflowError):
+            prime_form(tau, z, route="series")
 
     def test_series_route_radius_guard(self):
         with pytest.raises(InvalidArgumentError):

@@ -22,6 +22,7 @@ from g2sew import (
     RhoPoint,
     SL2_S,
     SL2_T,
+    Torus,
     bilinear_form_eps,
     chi_period,
     eisenstein,
@@ -295,9 +296,12 @@ class TestGroupAction:
     lambda: GElement("gamma2", ((1, 0), (0, 1), (1, 1))),
     lambda: LElement("gamma1", mat=((1, 0), (0, 1), (1, 1))),
     lambda: GElement("gamma1", ((1, 1), (0, 2))),
+    lambda: GElement("gamma1", ((1, 0.5), (0, 1))),
+    lambda: LElement("gamma1", mat=((1, 0.5), (0, 1))),
+    lambda: LElement("mu", (0.5, 0, 0)),
     lambda: prime_form(1j, 0, route="bogus"),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
-        "prime-form-route"])
+        "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route"])
 def test_outside_input_raises_typed_error(make):
     with pytest.raises(InvalidArgumentError):
         make()
@@ -377,6 +381,17 @@ class TestInversion:
         assert np.array_equal(f(x0), [om.omega11, om.omega22, om.omega12])
         ref = complex_jacobian(f, x0)
         assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    def test_jacobian_reads_only_the_two_eisenstein_tables(self, count_calls):
+        # dE_k/dtau comes from the E_k table by the heat law: J costs the E_k
+        # of each torus to weight 2n + 2 = 34 and no other q-series
+        counts = count_calls("eisenstein_q", "_sigma")
+        Torus(1j).eisenstein(34)
+        Torus(2j).eisenstein(34)
+        tables = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        eps_mod._period_eps(EpsPoint(1j, 2j, 0.1), 16, eps_mod.DEFAULT_TOL, jacobian=True)
+        assert counts == tables == {"eisenstein_q": 34, "_sigma": 265}
 
     def test_newton_step_costs_one_evaluation_per_line_search_trial(self):
         # z^2 = 4 from z = 1 in each of m = 3 coordinates, the objective
