@@ -24,7 +24,14 @@ from .errors import (
     RangeOverflowError,
     ToleranceError,
 )
-from .lattice import TWO_PI_I, lattice_min, reduce_mod_lattice, require_tau
+from .lattice import (
+    TWO_PI_I,
+    gauss_reduce,
+    lattice_basis,
+    lattice_min,
+    reduce_mod_lattice,
+    require_tau,
+)
 
 # Crude uniform bound on |E_j(tau)| * D(Lambda_tau)^j used only for tail
 # certificates of z-Laurent series (lattice-sum comparison, j >= 2).
@@ -60,8 +67,9 @@ _bernoulli_table: tuple[Fraction, ...] = (Fraction(1),)
 _bernoulli_lock = threading.Lock()
 
 
-def _bernoulli_list(kmax: int) -> tuple[Fraction, ...]:
-    """(B_0..B_kmax) from the defining recurrence, memoised per process."""
+def _bernoulli_memo(kmax: int) -> tuple[Fraction, ...]:
+    """The memo (B_0..B_K), K >= kmax, from the defining recurrence; grown
+    to kmax first if it is shorter."""
     global _bernoulli_table
     table = _bernoulli_table
     if len(table) <= kmax:
@@ -73,14 +81,14 @@ def _bernoulli_list(kmax: int) -> tuple[Fraction, ...]:
                     s += math.comb(m + 1, j) * b[j]
                 b.append(-s / (m + 1))
             _bernoulli_table = table = tuple(b)
-    return table[:kmax + 1]
+    return table
 
 
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k for even k >= 2, from t/(e^t-1) - 1 + t/2."""
     if k < 2 or k % 2 != 0:
         raise InvalidArgumentError(f"bernoulli requires even k >= 2, got {k}")
-    return _bernoulli_list(k)[k]
+    return _bernoulli_memo(k)[k]
 
 
 def _sigma(k: int, n: int) -> int:
@@ -113,7 +121,7 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     aq = abs(q)
     if not aq < 1.0:
         raise InvalidArgumentError(f"|q| must be < 1, got {aq}")
-    bk = _bernoulli_list(k)[k]
+    bk = _bernoulli_memo(k)[k]
     const = -bk.numerator / (bk.denominator * math.factorial(k))
     if aq == 0.0:
         return const + 0j
@@ -188,31 +196,52 @@ def d_coeff(k: int, l: int, tau: complex, z: complex, tol: SeriesTolerance = DEF
     return (-1) ** (k + 1) * _comb_ratio(k, l) * weierstrass_p(k + l, tau, z, tol)
 
 
-def _head_polys(kmax: int) -> list[dict[int, Fraction]]:
-    """Polynomials p_k(c) with p_k(coth(z/2)) = sum_{n in Z} "1/(z-2pi*i*n)^k".
-
-    p_1 = c/2 and p_{k+1} = -(1/k) p_k'(c) (1-c^2)/2, the same derivative
-    chain that generates P_{k+1} from P_k.
-    """
-    polys: list[dict[int, Fraction]] = [{}, {1: Fraction(1, 2)}]
-    for m in range(1, kmax):
-        prev = polys[m]
-        nxt: dict[int, Fraction] = {}
-        for e, co in prev.items():
-            if e == 0:
-                continue
-            d = co * e
-            nxt[e - 1] = nxt.get(e - 1, Fraction(0)) - d / (2 * m)
-            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + d / (2 * m)
-        polys.append(nxt)
-    return polys
+def _next_head_poly(prev: tuple[tuple[int, Fraction], ...],
+                    m: int) -> tuple[tuple[int, Fraction], ...]:
+    """p_(m+1) from p_m by p_(m+1) = -(1/m) p_m'(c) (1-c^2)/2, the same
+    derivative chain that generates P_(m+1) from P_m; both as (exponent,
+    coefficient) pairs in order of first appearance."""
+    nxt: dict[int, Fraction] = {}
+    for e, co in prev:
+        if e == 0:
+            continue
+        d = co * e
+        nxt[e - 1] = nxt.get(e - 1, Fraction(0)) - d / (2 * m)
+        nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + d / (2 * m)
+    return tuple(nxt.items())
 
 
-def _p_qz_route(k: int, q: complex, z: complex, head_poly: dict[int, Fraction],
+# [p_0..p_K] as (exponent, float coefficient) pairs for the largest K asked
+# for so far, and p_K exactly, from which the next extension starts.  Both
+# are rebound under the lock, like the Bernoulli table.
+_head_table: tuple[tuple[tuple[int, float], ...], ...] = ((), ((1, 0.5),))
+_head_top: tuple[tuple[int, Fraction], ...] = ((1, Fraction(1, 2)),)
+_head_lock = threading.Lock()
+
+
+def _head_polys(kmax: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Polynomials p_k(c) with p_k(coth(z/2)) = sum_{n in Z} "1/(z-2pi*i*n)^k",
+    for k = 0..kmax at least, memoised per process.  p_1 = c/2; each later
+    p_k is built once, in exact arithmetic, and kept as float(coefficient)."""
+    global _head_table, _head_top
+    table = _head_table
+    if len(table) <= kmax:
+        with _head_lock:
+            polys = list(_head_table)
+            top = _head_top
+            for m in range(len(polys) - 1, kmax):
+                top = _next_head_poly(top, m)
+                polys.append(tuple((e, float(co)) for e, co in top))
+            _head_top = top
+            _head_table = table = tuple(polys)
+    return table
+
+
+def _p_qz_route(k: int, q: complex, z: complex, head_poly: tuple[tuple[int, float], ...],
                 tol: SeriesTolerance, a_coeff: float) -> complex:
     """P_k via the exponential-coordinate series; needs |a_coeff| < 1."""
     c = 1.0 / cmath.tanh(z / 2.0)
-    head = sum(float(co) * c**e for e, co in head_poly.items())
+    head = sum(co * c**e for e, co in head_poly)
     aq = abs(q)
     if aq == 0.0:
         return head
@@ -369,9 +398,15 @@ class Torus:
         self._eis = [0j, 0j]
 
     @functools.cached_property
+    def basis(self) -> tuple[complex, complex]:
+        """Gauss-reduced basis of Lambda_tau, behind ``dmin`` and every
+        nearest-point reduction of z."""
+        return gauss_reduce(*lattice_basis(self.tau))
+
+    @functools.cached_property
     def dmin(self) -> float:
         """Lattice minimum D(Lambda_tau)."""
-        return lattice_min(self.tau)
+        return lattice_min(self.tau, self.basis)
 
     def eisenstein(self, kmax: int) -> list[complex]:
         """[E_0..E_kmax], zero at E_0, E_1 and every odd weight, kept and grown on demand."""
@@ -398,7 +433,7 @@ class Torus:
             raise InvalidArgumentError("weierstrass_range requires kmax >= 1")
         z = complex(z)
         dmin = self.dmin
-        z_near, m_near, _ = reduce_mod_lattice(tau, z)
+        z_near, m_near, _ = reduce_mod_lattice(tau, z, self.basis)
         if abs(z_near) < 1e-13 * dmin:
             raise PoleError(f"z = {z} lies on the lattice Lambda_tau")
         out = [0j] * (kmax + 1)
@@ -443,7 +478,7 @@ class Torus:
             raise InvalidArgumentError(f"unknown prime_form route {route!r}")
         z = complex(z)
         dmin = self.dmin
-        z_near, _, _ = reduce_mod_lattice(tau, z)
+        z_near, _, _ = reduce_mod_lattice(tau, z, self.basis)
         if abs(z_near) < 1e-13 * dmin:
             return 0j
         if route == "auto":

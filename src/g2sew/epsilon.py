@@ -20,7 +20,7 @@ SL2_T = ((1, 1), (0, 1))
 SL2_S = ((0, -1), (1, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsPoint:
     tau1: complex
     tau2: complex

@@ -51,9 +51,10 @@ def gauss_reduce(b1: complex, b2: complex) -> tuple[complex, complex]:
         v1, v2 = v2, v1
 
 
-def lattice_min(tau: complex) -> float:
-    """Minimal length D(Lambda_tau) of a nonzero lattice vector."""
-    v1, v2 = gauss_reduce(*lattice_basis(tau))
+def lattice_min(tau: complex, basis: tuple[complex, complex] | None = None) -> float:
+    """Minimal length D(Lambda_tau) of a nonzero lattice vector; ``basis``
+    is its Gauss-reduced basis when the caller holds it already."""
+    v1, v2 = gauss_reduce(*lattice_basis(tau)) if basis is None else basis
     best = abs(v1)
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
@@ -63,15 +64,16 @@ def lattice_min(tau: complex) -> float:
     return best
 
 
-def reduce_mod_lattice(tau: complex, z: complex) -> tuple[complex, int, int]:
+def reduce_mod_lattice(tau: complex, z: complex,
+                       basis: tuple[complex, complex] | None = None) -> tuple[complex, int, int]:
     """Reduce z to the nearest-point representative modulo Lambda_tau.
 
     Returns (z_red, m, n) with z = z_red + 2*pi*i*(m*tau + n) and |z_red|
     minimal over the lattice.  m is exactly the quasi-period count needed
-    by P_1 and P_0.
+    by P_1 and P_0.  ``basis`` is as in ``lattice_min``.
     """
     z = complex(z)
-    v1, v2 = gauss_reduce(*lattice_basis(tau))
+    v1, v2 = gauss_reduce(*lattice_basis(tau)) if basis is None else basis
     # Solve z = x*v1 + y*v2 over the reals.
     det = v1.real * v2.imag - v1.imag * v2.real
     x = (z.real * v2.imag - z.imag * v2.real) / det

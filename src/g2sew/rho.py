@@ -33,7 +33,7 @@ from .siegel import PeriodMatrix, symplectic_action
 from .sphere import catalan_f, catalan_g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RhoPoint:
     tau: complex
     w: complex
@@ -41,7 +41,7 @@ class RhoPoint:
     branch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChiPoint:
     tau: complex
     w: complex

@@ -11,7 +11,7 @@ from .errors import ActionSingularError
 _PM_KEYS = ("omega11", "omega12", "omega22")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodMatrix:
     """Symmetric 2x2 complex matrix, stored by its three entries."""
 

@@ -1,5 +1,7 @@
 """Reference helpers shared by the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -13,3 +15,19 @@ def complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
         xm = x.copy(); xm[j] -= h
         jac[:, j] = (f(xp) - f(xm)) / (2.0 * h)
     return jac
+
+
+def head_polys_reference(kmax: int) -> list[dict[int, Fraction]]:
+    """Exact p_0..p_kmax with p_k(coth(z/2)) = sum_{n in Z} "1/(z-2pi*i*n)^k",
+    rebuilt from p_1 = c/2 and p_{k+1} = -(1/k) p_k'(c) (1-c^2)/2 on every call."""
+    polys: list[dict[int, Fraction]] = [{}, {1: Fraction(1, 2)}]
+    for m in range(1, kmax):
+        nxt: dict[int, Fraction] = {}
+        for e, co in polys[m].items():
+            if e == 0:
+                continue
+            d = co * e
+            nxt[e - 1] = nxt.get(e - 1, Fraction(0)) - d / (2 * m)
+            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + d / (2 * m)
+        polys.append(nxt)
+    return polys

@@ -3,6 +3,7 @@ modular transformation laws."""
 
 import cmath
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -33,6 +34,7 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
+from helpers import head_polys_reference
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -70,8 +72,8 @@ class TestBernoulli:
 
         def work(mine):
             for kmax in mine:
-                table = elliptic._bernoulli_list(kmax)
-                if table != want[:kmax + 1]:
+                table = elliptic._bernoulli_memo(kmax)
+                if table != want[:len(table)] or len(table) <= kmax:
                     bad.append(kmax)
 
         threads = [threading.Thread(target=work, args=(s,)) for s in sizes]
@@ -89,12 +91,12 @@ class TestBernoulli:
         assert elliptic._bernoulli_table == want
 
     def test_returned_table_cannot_change_the_next_call(self):
-        table = elliptic._bernoulli_list(12)
+        table = elliptic._bernoulli_memo(12)
         with pytest.raises(TypeError):
             table[2] = Fraction(0)
         eis = eisenstein_range(12, 1j)
         eis[4] = 0j
-        assert elliptic._bernoulli_list(12) == bernoulli_reference(12)
+        assert elliptic._bernoulli_memo(12)[:13] == bernoulli_reference(12)
         assert eisenstein_range(12, 1j)[4] == eisenstein(4, 1j)
 
 
@@ -373,6 +375,104 @@ class TestWeierstrass:
         for k in (2, 3, 4, 5, 24, 47):
             a = weierstrass_p(k, tau, z)
             assert abs(a - full[k]) < 1e-11 * max(1.0, abs(a))
+
+
+def float_heads(exact):
+    """Exact head polynomials as the float table holds them."""
+    return tuple(tuple((e, float(co)) for e, co in poly.items()) for poly in exact)
+
+
+def cold_heads(monkeypatch):
+    """Reset the head table to p_0, p_1 for the length of one test."""
+    monkeypatch.setattr(elliptic, "_head_table", ((), ((1, 0.5),)))
+    monkeypatch.setattr(elliptic, "_head_top", ((1, Fraction(1, 2)),))
+
+
+def qz_points(seed, count):
+    """Seeded (tau, w) pairs, half on skewed tori, whose P_k take the q_z route."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        if len(points) % 2:
+            tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 0.6))
+        else:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0))
+        w = TWO_PI_I * (rng.uniform(-0.5, 0.5) * tau + rng.uniform(-0.5, 0.5))
+        if abs(reduce_mod_lattice(tau, w)[0]) >= 0.5 * lattice_min(tau):
+            points.append((tau, w))
+    return points
+
+
+class TestHeadTable:
+    """The q_z route's head polynomials p_k are one float table per process."""
+
+    def test_each_coefficient_is_the_float_of_the_exact_one(self):
+        want = float_heads(head_polys_reference(100))
+        got = elliptic._head_polys(100)
+        assert got[:101] == want
+        assert all(type(co) is float for poly in got for _, co in poly)
+
+    def test_growth_ends_where_one_cold_build_does(self, monkeypatch, count_calls):
+        counts = count_calls("_next_head_poly")
+        cold_heads(monkeypatch)
+        for kmax in (26, 50, 100):
+            elliptic._head_polys(kmax)
+        grown = (elliptic._head_table, elliptic._head_top)
+        assert counts == {"_next_head_poly": 99}  # p_2..p_100, each once
+        cold_heads(monkeypatch)
+        elliptic._head_polys(100)
+        assert (elliptic._head_table, elliptic._head_top) == grown
+        assert len(grown[0]) == 101
+        assert grown[1] == tuple(head_polys_reference(100)[100].items())
+
+    def test_table_is_complete_and_unshared_under_threads(self, monkeypatch):
+        # cold start; each thread extends the table to its own sizes while
+        # the interpreter switches threads as often as it can
+        cold_heads(monkeypatch)
+        sizes = [[3 * (i + 1) + 12 * r for r in range(6)] for i in range(8)]
+        want = float_heads(head_polys_reference(max(map(max, sizes))))
+        bad = []
+
+        def work(mine):
+            for kmax in mine:
+                table = elliptic._head_polys(kmax)
+                if table != want[:len(table)] or len(table) <= kmax:
+                    bad.append(kmax)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in sizes]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert elliptic._head_table == want
+
+    def test_a_second_torus_builds_nothing(self, count_calls):
+        z = 2.9 + 1.1j
+        weierstrass_range(50, 0.3 + 0.9j, z)
+        counts = count_calls("_next_head_poly")
+        tau = 0.4 + 0.8j
+        assert abs(reduce_mod_lattice(tau, z)[0]) >= 0.5 * lattice_min(tau)  # q_z route
+        weierstrass_range(50, tau, z)
+        assert counts == {"_next_head_poly": 0}
+
+    def test_outputs_equal_an_exact_rebuild_per_call(self, monkeypatch):
+        # the table, grown from cold across tori, against the exact heads
+        # rebuilt on every call
+        cold_heads(monkeypatch)
+        points = qz_points(7, 12)
+        kmaxes = [24, 50, 12, 60] * 3
+        got = [repr(weierstrass_range(k, tau, w)) for k, (tau, w) in zip(kmaxes, points)]
+        monkeypatch.setattr(elliptic, "_head_polys",
+                            lambda kmax: float_heads(head_polys_reference(kmax)))
+        want = [repr(weierstrass_range(k, tau, w)) for k, (tau, w) in zip(kmaxes, points)]
+        assert got == want
 
 
 class TestPrimeForm:

@@ -2,7 +2,10 @@
 necklaces, L-action, degeneration, inversion, and the chart composition."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from g2sew import (
     ChiPoint,
     DomainError,
+    EpsPoint,
     LElement,
     PeriodMatrix,
     RhoPoint,
@@ -146,6 +150,13 @@ class TestPeriodMatrix:
         counts = count_calls("eisenstein_q")
         period_matrix_rho(RhoPoint(1j, 1 + 0.8j, 0.01), 12)
         assert counts == {"eisenstein_q": 32}
+
+    def test_one_gauss_reduction_per_torus(self, count_calls):
+        # the domain test reduces the lattice basis twice (distance to w and
+        # D); the one Torus reduces it once for D, P_k and the prime form
+        counts = count_calls("gauss_reduce")
+        period_matrix_rho(RhoPoint(1j, 1 + 0.8j, 0.01), 12)
+        assert counts == {"gauss_reduce": 3}
 
 
 class TestNecklace:
@@ -366,3 +377,18 @@ class TestComposition:
         assert abs(pt.tau1 - (p.tau1 + 1)) < 1e-7
         assert abs(pt.tau2 - p.tau2) < 1e-7
         assert abs(pt.eps - p.eps) < 1e-7
+
+
+@pytest.mark.parametrize("value", [
+    PeriodMatrix(1j, 0.1 + 0.2j, 2j),
+    EpsPoint(1j, 2j, 0.05),
+    RhoPoint(1j, 1 + 0.8j, 0.01, 2),
+    ChiPoint(1j, 0.3, 0.05),
+], ids=lambda v: type(v).__name__)
+def test_points_and_results_are_slotted_values(value):
+    assert not hasattr(value, "__dict__")
+    assert hash(value) == hash(dataclasses.astuple(value))
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
