@@ -272,38 +272,50 @@ def _p_qz_route(k: int, q: complex, z: complex, head_poly: tuple[tuple[int, floa
     )
 
 
-def _p_laurent_route(k: int, z: complex, dmin: float,
-                     eis: list[complex], tol: SeriesTolerance) -> complex:
-    """P_k from its z-Laurent series about 0; needs |z| < D(Lambda_tau)."""
-    az = abs(z)
+def _laurent_weight(k: int, az: float, dmin: float, tol: SeriesTolerance) -> int:
+    """Weight of the last E_m that the z-Laurent series of P_k about 0 reads
+    at |z| = az < D(Lambda_tau): its tail bound certifies below abs_tol
+    there, and reads no E_m.  Past _LAURENT_MAX_WEIGHT (or a bound that
+    leaves the double range) it returns _LAURENT_MAX_WEIGHT + 1."""
     r = az / dmin
+    kk = k - 1
+    try:
+        for w in range(max(2, k), _LAURENT_MAX_WEIGHT + 1):
+            if k == 1:
+                bound = _EISEN_LATTICE_BOUND * r ** (w + 1) / dmin / (1.0 - r)
+            else:
+                # term_(l+1) bound at l = w - kk, once the ratio is below 1
+                l = w - kk
+                rho = r * (kk + l + 1) / (l + 1)
+                if not rho < 1.0:
+                    continue
+                bound = (_comb_ratio(kk, l + 1) / kk * _EISEN_LATTICE_BOUND
+                         * dmin ** (-(kk + l + 1)) * az**l) / (1.0 - rho)
+            if bound < tol.abs_tol:
+                return w
+    except OverflowError:
+        pass
+    return _LAURENT_MAX_WEIGHT + 1
+
+
+def _p_laurent_route(k: int, z: complex, eis: list[complex], weight: int) -> complex:
+    """P_k from its z-Laurent series about 0, summed through E_weight."""
     if k == 1:
         total = 1.0 / z
         zp = 1.0 + 0j  # z^(m-1)
-        for m in range(2, len(eis)):
+        for m in range(2, weight + 1):
             zp *= z
             if m % 2 == 0:
                 total -= eis[m] * zp
-            bound = _EISEN_LATTICE_BOUND * r ** (m + 1) / dmin / (1.0 - r)
-            if bound < tol.abs_tol:
-                return total
-        raise ToleranceError("P_1 Laurent series not certified", achieved=bound)
+        return total
     total = z ** (-k)
     kk = k - 1
     zp = 1.0 + 0j  # z^(l-1)
-    for l in range(1, len(eis) - kk):
+    for l in range(1, weight - kk + 1):
         if (kk + l) % 2 == 0:
             total += (-1) ** (kk + 1) * _comb_ratio(kk, l) / kk * eis[kk + l] * zp
-        # term_{l+1} bound, ratio certified < 1 once l is large enough
-        t_next = (
-            _comb_ratio(kk, l + 1) / kk
-            * _EISEN_LATTICE_BOUND * dmin ** (-(kk + l + 1)) * az**l
-        )
-        rho = r * (kk + l + 1) / (l + 1)
-        if rho < 1.0 and t_next / (1.0 - rho) < tol.abs_tol:
-            return total
         zp *= z
-    raise ToleranceError(f"P_{k} Laurent series not certified", achieved=t_next)
+    return total
 
 
 def _heat_dtau(table, shift: int) -> np.ndarray:
@@ -424,7 +436,8 @@ class Torus:
         """[P_0..P_kmax](tau, z) with P_0 slot unused (0j).
 
         z is reduced modulo the lattice first: the nearest-point representative
-        feeds the Laurent route when |z_red| < D/2, otherwise the centered
+        feeds the Laurent route when |z_red| < D/2 and the tail certificates
+        name weight <= _LAURENT_MAX_WEIGHT, otherwise the centered
         parallelogram representative feeds the exponential-coordinate route.
         P_1 picks up the quasi-period correction -m from the reduction.
         """
@@ -438,18 +451,14 @@ class Torus:
             raise PoleError(f"z = {z} lies on the lattice Lambda_tau")
         out = [0j] * (kmax + 1)
         if abs(z_near) < 0.5 * dmin:
-            # extend the Eisenstein table until every P_k's tail certifies;
-            # past the cap fall through to the q_z route, which converges for
-            # every z off the lattice
-            kbound = max(kmax + 40, 2 * kmax)
-            while kbound <= _LAURENT_MAX_WEIGHT:
-                eis = self.eisenstein(kbound)
-                try:
-                    for k in range(1, kmax + 1):
-                        out[k] = _p_laurent_route(k, z_near, dmin, eis, tol)
-                except ToleranceError:
-                    kbound = 2 * len(eis)
-                    continue
+            # every tail certificate first, then one E_k table to the weight
+            # they name; past the cap the q_z route, which converges off the lattice
+            weights = [_laurent_weight(k, abs(z_near), dmin, tol)
+                       for k in range(1, kmax + 1)]
+            if max(weights) <= _LAURENT_MAX_WEIGHT:
+                eis = self.eisenstein(max(weights))
+                for k, weight in enumerate(weights, 1):
+                    out[k] = _p_laurent_route(k, z_near, eis, weight)
                 out[1] -= m_near
                 return out
         # centered reduction in the original basis keeps |a| <= 1/2

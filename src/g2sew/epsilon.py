@@ -14,7 +14,7 @@ from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .errors import ConvergenceError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_min, mobius, require_sl2, require_tau
 from .moments import _a_matrix, a_matrix, neumann_id_minus, solve_id_minus, x_blocks
-from .siegel import PeriodMatrix, symplectic_action
+from .siegel import PeriodMatrix, require_siegel, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
 SL2_S = ((0, -1), (1, 0))
@@ -86,7 +86,7 @@ def period_matrix_eps(p: EpsPoint, n: int = 12,
     2pi*i*Om11 = 2pi*i*tau1 + eps (A2 (I - A1 A2)^-1)(1,1), symmetrically for
     Om22, and 2pi*i*Om12 = -eps (I - A1 A2)^-1 (1,1).
     """
-    return _period_eps(p, n, tol, half_power_sign)[0]
+    return require_siegel(_period_eps(p, n, tol, half_power_sign)[0], n)
 
 
 def _omega_eps(p: EpsPoint, x12: complex, u1: complex, u2: complex) -> PeriodMatrix:
@@ -95,7 +95,8 @@ def _omega_eps(p: EpsPoint, x12: complex, u1: complex, u2: complex) -> PeriodMat
     om11 = TWO_PI_I * p.tau1 + p.eps * u2
     om22 = TWO_PI_I * p.tau2 + p.eps * u1
     om12 = -p.eps * x12
-    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    return PeriodMatrix(complex(om11 / TWO_PI_I), complex(om12 / TWO_PI_I),
+                        complex(om22 / TWO_PI_I))
 
 
 def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,

@@ -44,7 +44,9 @@ class NearDegenerateError(SewingError):
 
 
 class TruncationError(SewingError):
-    """Determinant and trace-log evaluations failed to reconcile."""
+    """A truncated evaluation is not trustworthy: determinant and trace-log
+    evaluations failed to reconcile, or a truncated period matrix left the
+    Siegel upper half-space (Im Omega not positive definite)."""
 
 
 class ConvergenceError(SewingError):

@@ -29,7 +29,7 @@ from .lattice import (
     require_tau,
 )
 from .moments import _rho_moments_jacobian, neumann_id_minus, rho_moments, solve_id_minus
-from .siegel import PeriodMatrix, symplectic_action
+from .siegel import PeriodMatrix, require_siegel, symplectic_action
 from .sphere import catalan_f, catalan_g
 
 
@@ -113,7 +113,7 @@ def period_matrix_rho(p: RhoPoint, n: int = 12,
     _require_rho_domain(p)
     t = Torus(p.tau, tol)
     r, beta = rho_moments(t, p.w, p.rho, n, half_power_sign)
-    return _rho_solve(p, r, beta, t, half_power_sign)[0]
+    return require_siegel(_rho_solve(p, r, beta, t, half_power_sign)[0], n)
 
 
 def _require_rho_domain(p: RhoPoint) -> None:
@@ -143,7 +143,8 @@ def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int,
     om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
     om12 = p.w - sr * (beta.flat @ g)
     om22 = _log_head(p, t) - beta.flat @ z
-    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I), g, z
+    return PeriodMatrix(complex(om11 / TWO_PI_I), complex(om12 / TWO_PI_I),
+                        complex(om22 / TWO_PI_I)), g, z
 
 
 def necklace_period_rho(p: RhoPoint, max_rho_order: int,
@@ -219,7 +220,8 @@ def degeneration_period(c: ChiPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Peri
     om11 = TWO_PI_I * c.tau + w2 * fac * g
     om12 = c.w * cmath.sqrt(fac) * (1.0 + w2 * fac * e2 * g)
     om22 = cmath.log(f) + w2 * fac * e2
-    return PeriodMatrix(om11 / TWO_PI_I, om12 / TWO_PI_I, om22 / TWO_PI_I)
+    return PeriodMatrix(complex(om11 / TWO_PI_I), complex(om12 / TWO_PI_I),
+                        complex(om22 / TWO_PI_I))
 
 
 def chi_period(c: ChiPoint, n: int = 12,
@@ -302,7 +304,10 @@ def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
         if not (0 < abs(cp.chi) < 0.25):
             raise DomainError("chi left the chart")
         om, jac = _chi_period_jacobian(cp, n, tol)
-        return om - goal, jac
+        res = om - goal
+        # F mod 1 is holomorphic across the cut of omega22's principal log
+        res[2] -= round(res[2].real)
+        return res, jac
 
     x = _newton(f, np.array([seed.tau, seed.w, seed.chi]), newton_tol)
     return ChiPoint(complex(x[0]), complex(x[1]), complex(x[2]))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ActionSingularError
+from .errors import ActionSingularError, TruncationError
 
 _PM_KEYS = ("omega11", "omega12", "omega22")
 
@@ -35,8 +35,8 @@ class PeriodMatrix:
                    abs(self.omega22 - other.omega22))
 
     def imag_positive_definite(self) -> bool:
-        y = self.as_array().imag
-        return y[0, 0] > 0.0 and np.linalg.det(y) > 0.0
+        y11, y12, y22 = self.omega11.imag, self.omega12.imag, self.omega22.imag
+        return y11 > 0.0 and y11 * y22 - y12**2 > 0.0
 
     def to_json_dict(self) -> dict:
         return {k: {"re": getattr(self, k).real, "im": getattr(self, k).imag}
@@ -46,6 +46,14 @@ class PeriodMatrix:
     def from_json_dict(cls, d: dict) -> "PeriodMatrix":
         vals = [complex(d[k]["re"], d[k]["im"]) for k in _PM_KEYS]
         return cls(*vals)
+
+
+def require_siegel(omega: PeriodMatrix, n: int) -> PeriodMatrix:
+    """omega, checked to lie in H_2: a truncation at order n whose Im Omega
+    is not positive definite raises TruncationError."""
+    if not omega.imag_positive_definite():
+        raise TruncationError(f"Im Omega is not positive definite at order {n}")
+    return omega
 
 
 def symplectic_action(g: np.ndarray, omega: PeriodMatrix) -> PeriodMatrix:

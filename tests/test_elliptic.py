@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import head_polys_reference
+from helpers import doubling_bounds, head_polys_reference, weierstrass_reference
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -366,15 +367,96 @@ class TestWeierstrass:
                 a = weierstrass_p(k, tau, z)
                 b = weierstrass_p(k, tau, z + TWO_PI_I * (2 * tau + 1))
                 assert abs(a - b) < 1e-11 * max(1.0, abs(a))
-        # skewed torus, |z| = 0.48 D: a short table certifies on the Laurent
-        # route, the 48-entry one does not and takes the q_z route
+        # skewed torus, |z| = 0.48 D: the certificates of P_1..P_48 name
+        # weight 200, inside the Laurent route's cap; the guess-and-double
+        # reference stops at 194 and answers from the q_z route
         tau = 0.0583 + 0.3004j
         _, v2 = gauss_reduce(*lattice_basis(tau))
         z = 0.48 * lattice_min(tau) * cmath.exp(0.3j) * v2 / abs(v2)
-        full = weierstrass_range(48, tau, z)
+        t = elliptic.Torus(tau)
+        full = t.weierstrass(48, z)
+        assert len(t._eis) - 1 == 200
+        qz = weierstrass_reference(elliptic.Torus(tau), 48, z)
+        for k in range(1, 49):
+            assert abs(qz[k] - full[k]) < 1e-12 * max(1.0, abs(full[k]))
         for k in (2, 3, 4, 5, 24, 47):
             a = weierstrass_p(k, tau, z)
             assert abs(a - full[k]) < 1e-11 * max(1.0, abs(a))
+
+
+_TORI = st.one_of(
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.87, 2.0)),  # fundamental domain
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.2, 0.6)),   # skewed
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.03, 0.12)),  # near-real
+)
+
+
+def certified_weight(tau, z, kmax):
+    """Largest weight of E_k that the Laurent tails of P_1..P_kmax name."""
+    dmin = lattice_min(tau)
+    return max(elliptic._laurent_weight(k, abs(z), dmin, elliptic.DEFAULT_TOL)
+               for k in range(1, kmax + 1))
+
+
+class TestCertificateFirstRoute:
+    """The Laurent route of P_k reads its tail certificates first and builds
+    the E_k table once, to the largest weight they name."""
+
+    # the route never reads an E_k value to choose its terms, so these tests
+    # stand in the constant term for E_k: weight-384 tables on near-real tori
+    # then cost nothing, and both routes still read one and the same table
+    _exact = staticmethod(elliptic.eisenstein_q)
+
+    @classmethod
+    def constant_term(cls, k, q, tol=elliptic.DEFAULT_TOL):
+        return cls._exact(k, 0j, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=_TORI, r=st.floats(0.02, 0.499), phase=st.floats(0.0, 2 * math.pi),
+           kmax=st.integers(2, 50), held=st.integers(1, 300))
+    def test_matches_guess_and_double_where_it_was_laurent(self, tau, r, phase, kmax, held):
+        z = r * lattice_min(tau) * cmath.exp(1j * phase)
+        weight = certified_weight(tau, z, kmax)
+        with patch.object(elliptic, "eisenstein_q", self.constant_term):
+            t = elliptic.Torus(tau)
+            t.eisenstein(held)
+            out = t.weierstrass(kmax, z)
+            laurent = weight <= elliptic._LAURENT_MAX_WEIGHT
+            assert len(t._eis) - 1 == (max(weight, held) if laurent else held)
+            bounds = doubling_bounds(kmax)
+            if bounds and weight <= bounds[-1]:
+                ref = weierstrass_reference(elliptic.Torus(tau), kmax, z)
+                assert repr(out) == repr(ref)
+
+    @pytest.mark.parametrize("tau, r, kmax", [
+        (1j, 0.3, 12), (0.3 + 0.2j, 0.38, 48), (0.0583 + 0.3004j, 0.45, 24),
+        (0.4 + 0.5j, 0.49, 12)])
+    def test_matches_guess_and_double_on_true_tables(self, tau, r, kmax):
+        z = r * lattice_min(tau) * cmath.exp(0.7j)
+        assert certified_weight(tau, z, kmax) <= doubling_bounds(kmax)[-1]
+        out = elliptic.Torus(tau).weierstrass(kmax, z)
+        assert repr(out) == repr(weierstrass_reference(elliptic.Torus(tau), kmax, z))
+
+    def test_table_ends_at_the_certified_weight(self):
+        # skewed torus at |w| = 0.38 D, kmax 48: the certificates name weight
+        # 130 (the guess-and-double reference builds 96, then 194)
+        tau = 0.3 + 0.2j
+        t = elliptic.Torus(tau)
+        t.weierstrass(48, 0.38 * t.dmin * cmath.exp(0.3j))
+        assert len(t._eis) - 1 == 130
+
+    @pytest.mark.parametrize("tau, r, weight, built", [
+        (0.05j, 0.49, 384, 384), (0.05j, 0.499, 385, 1), (0.02j, 0.45, 385, 1)])
+    def test_route_rule_at_the_cap(self, tau, r, weight, built):
+        # near-real tori, kmax 50: certificates naming weight 384 build the
+        # table to it; one more, and the q_z route answers with no E_k built.
+        # At D = 0.126 the bound D^-(k+l) leaves the double range first.
+        z = r * lattice_min(tau)
+        assert certified_weight(tau, z, 50) == weight
+        with patch.object(elliptic, "eisenstein_q", self.constant_term):
+            t = elliptic.Torus(tau)
+            t.weierstrass(50, z)
+        assert len(t._eis) - 1 == built
 
 
 def float_heads(exact):

@@ -14,6 +14,7 @@ from g2sew import (
     ChiPoint,
     DomainError,
     EpsPoint,
+    GElement,
     LElement,
     PeriodMatrix,
     RhoPoint,
@@ -30,11 +31,17 @@ from g2sew import (
     l_action_rho,
     lattice_distance,
     lattice_min,
+    TruncationError,
+    necklace_period_eps,
     necklace_period_rho,
+    period_matrix_eps,
     period_matrix_rho,
     prime_form,
+    sp4_action,
+    sp4_action_rho,
     weierstrass_p,
 )
+from g2sew import epsilon as eps_mod
 from g2sew import rho as rho_mod
 from g2sew.epsilon import in_domain_eps
 from g2sew.lattice import TWO_PI_I
@@ -145,11 +152,12 @@ class TestPeriodMatrix:
 
     def test_one_table_pair_per_call(self, count_calls):
         # R and beta, the Laurent route of P_k and the series route of the
-        # prime form read one E_k table, grown to the weight 64 that the
-        # Laurent route asks for: E_2..E_64, each computed once
+        # prime form read one E_k table, built to the weight 33 that the
+        # tail certificates of P_1..P_24 name at |w|/D = 0.20: E_2..E_32,
+        # each computed once
         counts = count_calls("eisenstein_q")
         period_matrix_rho(RhoPoint(1j, 1 + 0.8j, 0.01), 12)
-        assert counts == {"eisenstein_q": 32}
+        assert counts == {"eisenstein_q": 16}
 
     def test_one_gauss_reduction_per_torus(self, count_calls):
         # the domain test reduces the lattice basis twice (distance to w and
@@ -266,6 +274,16 @@ class TestDegeneration:
 
 
 class TestInversion:
+    def test_target_at_the_omega22_log_cut(self):
+        # Re omega22 = -0.4998 lies next to the principal log's cut, and the
+        # auto-seed lands across it, where F is larger by 1 in omega22
+        c = ChiPoint(-0.1402 + 1.9036j, 0.1965 + 0.1454j, -0.1500 - 0.0017j)
+        target = chi_period(c, 12)
+        assert target.omega22.real < -0.49
+        assert chi_period(rho_mod._chi_seed(target), 12).omega22.real > 0.49
+        x = invert_chi(target, newton_tol=1e-11, n=12)
+        assert max(abs(x.tau - c.tau), abs(x.w - c.w), abs(x.chi - c.chi)) < 1e-9
+
     def test_diag_target_fixed_point(self):
         chi0 = 0.05
         f = catalan_f(chi0)
@@ -322,11 +340,11 @@ class TestInversion:
 
     def test_jacobian_costs_one_rho_evaluation(self, count_calls):
         # the tau column comes from the heat equation, not from forward
-        # calls; the P_k table reaches weight 2n + 2 = 26, so its Laurent
-        # route grows the one E_k table to weight 66
+        # calls; the P_k table reaches weight 2n + 2 = 26, whose Laurent
+        # tails certify by weight 26, the weight dE_k/dtau reads anyway
         counts = count_calls("chi_period", "eisenstein_q")
         rho_mod._chi_period_jacobian(ChiPoint(1j, 0.3, 0.05), 12, rho_mod.DEFAULT_TOL)
-        assert counts == {"chi_period": 0, "eisenstein_q": 33}
+        assert counts == {"chi_period": 0, "eisenstein_q": 13}
 
     def test_jacobian_determinant_near_degeneration(self):
         # |det d(Om11,Om12,Om22)/d(tau,w,chi)| -> 1/(4 pi^2 chi) as w -> 0
@@ -392,3 +410,46 @@ def test_points_and_results_are_slotted_values(value):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+_EPS = EpsPoint(1j, 2j, 0.1)
+_RHO = RhoPoint(1j, 1 + 0.8j, 0.01)
+PERIOD_MATRIX_ROUTES = {
+    "period_matrix_eps": lambda: period_matrix_eps(_EPS),
+    "necklace_period_eps": lambda: necklace_period_eps(_EPS, 4),
+    "sp4_action": lambda: sp4_action(GElement("beta"), period_matrix_eps(_EPS)),
+    "period_matrix_rho": lambda: period_matrix_rho(_RHO),
+    "necklace_period_rho": lambda: necklace_period_rho(_RHO, 3),
+    "sp4_action_rho": lambda: sp4_action_rho(LElement("mu", (1, 0, 0)), period_matrix_rho(_RHO)),
+    "chi_period": lambda: chi_period(ChiPoint(1j, 0.3, 0.05)),
+    "degeneration_period": lambda: degeneration_period(ChiPoint(1j, 0.3, 0.05)),
+}
+
+
+@pytest.mark.parametrize("route", list(PERIOD_MATRIX_ROUTES))
+def test_period_matrix_entries_are_complex(route):
+    omega = PERIOD_MATRIX_ROUTES[route]()
+    assert all(type(getattr(omega, f)) is complex for f in ("omega11", "omega12", "omega22"))
+
+
+def test_imag_positive_definite_closed_form():
+    assert PeriodMatrix(1j, 0.5j, 1j).imag_positive_definite()
+    assert not PeriodMatrix(1j, 2j, 1j).imag_positive_definite()  # det Im = -3
+    assert not PeriodMatrix(-1j, 0j, -1j).imag_positive_definite()  # det Im = +1
+    assert not PeriodMatrix(0j, 0j, 1j).imag_positive_definite()
+
+
+@pytest.mark.parametrize("chart", ["eps", "rho"])
+def test_period_matrix_outside_h2_raises(monkeypatch, chart):
+    # a guard, not an assert: it must hold under python -O as well
+    bad = PeriodMatrix(1j, 2j, 1j)
+    if chart == "eps":
+        monkeypatch.setattr(eps_mod, "_omega_eps", lambda *args: bad)
+        call = lambda: period_matrix_eps(_EPS)  # noqa: E731
+    else:
+        solve = rho_mod._rho_solve
+        monkeypatch.setattr(rho_mod, "_rho_solve",
+                            lambda *args, **kw: (bad,) + solve(*args, **kw)[1:])
+        call = lambda: period_matrix_rho(_RHO)  # noqa: E731
+    with pytest.raises(TruncationError, match="not positive definite"):
+        call()
