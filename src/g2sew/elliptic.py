@@ -166,14 +166,16 @@ def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     return eisenstein_q(k, cmath.exp(TWO_PI_I * require_tau(tau)), tol)
 
 
-def _comb_ratio(k: int, l: int) -> float:
-    """(k+l-1)! / ((k-1)!(l-1)!) as a float, guarding against overflow.
+def _comb(k: int, l: int) -> int:
+    """(k+l-1)! / ((k-1)!(l-1)!), the magnitude of the moment kernel, exact."""
+    return math.comb(k + l - 1, k - 1) * l
 
-    Exact binomial-product evaluation keeps the full supported range
-    k + l <= ~1000 (well past the required 64) before the double overflows.
-    """
+
+def _comb_ratio(k: int, l: int) -> float:
+    """``_comb`` as a float; RangeOverflowError past the double range, which
+    k + l <= ~1000 (well past the required 64) stays inside."""
     try:
-        return float(math.comb(k + l - 1, k - 1) * l)
+        return float(_comb(k, l))
     except OverflowError:
         raise RangeOverflowError(
             f"factorial ratio overflows double range at (k,l)=({k},{l})"

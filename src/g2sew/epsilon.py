@@ -13,7 +13,7 @@ import numpy as np
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .errors import ConvergenceError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_min, mobius, require_sl2, require_tau
-from .moments import _a_matrix, a_matrix, neumann_id_minus, solve_id_minus, x_blocks
+from .moments import _a_matrix, _chequered_walks, _require_order, a_matrix, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
@@ -152,21 +152,16 @@ def necklace_period_eps(p: EpsPoint, max_eps_order: int,
     """Period matrix from the chequered necklaces of total parameter exponent
     <= max_eps_order: the walks from label 1 through M = [[0, A1], [A2, 0]]
     alternate A1 and A2, so they are (I - M)^-1 [e_(1,1), e_(1,2)] truncated
-    at that order (``neumann_id_minus``), read at label 1 as x12, u1 and u2.
+    at that order (``_chequered_walks``), read at label 1 as x12, u1 and u2.
     Agrees with ``period_matrix_eps`` to O(eps^(max_eps_order+1)).
     """
     _require_eps_domain(p)
-    if max_eps_order < 0:
-        raise InvalidArgumentError("max_eps_order must be >= 0")
+    _require_order(max_eps_order)
     # interior labels of a chain of exponent <= max_eps_order stay below it
     n = max(1, max_eps_order - 1)
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[:n, n:] = a_matrix(p.tau1, p.eps, n, tol).entries
-    m[n:, :n] = a_matrix(p.tau2, p.eps, n, tol).entries
-    rhs = np.zeros((2 * n, 2), dtype=complex)
-    rhs[0, 0] = rhs[n, 1] = 1.0
-    sol = neumann_id_minus(m, rhs, max_eps_order)
-    return _omega_eps(p, sol[0, 0], sol[0, 1], sol[n, 0])
+    return _omega_eps(p, *_chequered_walks(a_matrix(p.tau1, p.eps, n, tol).entries,
+                                           a_matrix(p.tau2, p.eps, n, tol).entries,
+                                           max_eps_order))
 
 
 def bilinear_form_eps(p: EpsPoint, x: complex, y: complex,

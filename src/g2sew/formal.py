@@ -5,16 +5,23 @@ tori (E_k, F_k), the elliptic values P_k, the series heads (2pi*i*tau's, w)
 and an opaque log head.  The formal sewing parameter is tracked by twice its
 exponent so half-integer powers exist internally; the assembled period series
 must come out with integer powers only.
+
+The series are the necklace routes' walk sums (``neumann_id_minus``) run over
+exact entries: the moment matrices are numpy object arrays of ``GradedPoly``
+built from the same integer kernel, and Omega is read at label 1 as there.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, SewingError, UnassignedGeneratorError
+import numpy as np
+
+from .errors import SewingError, UnassignedGeneratorError
+from .moments import _chequered_walks, _integer_kernel, _kernel_coeffs, _require_order
+from .moments import _rho_pair, _rho_walks, _sks
 
 # generator kinds, in canonical display order
 _KIND_ORDER = {"TAU": 0, "W": 1, "LOG": 2, "E": 3, "F": 4, "P": 5}
@@ -45,6 +52,8 @@ class Generator:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
     d: dict[tuple[str, int], int] = dict(m1)
     for g, e in m2:
         d[g] = d.get(g, 0) + e
@@ -64,7 +73,7 @@ class GradedPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, Monomial], Fraction] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
     def zero(cls) -> "GradedPoly":
@@ -84,29 +93,44 @@ class GradedPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedPoly) and self.terms == other.terms
 
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
+    def __add__(self, other) -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            if not other:
+                return self
+            other = GradedPoly.const(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
         return GradedPoly(out)
 
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + other.scale(-1)
+    __radd__ = __add__
+
+    def __neg__(self) -> "GradedPoly":
+        return self.scale(-1)
+
+    def __sub__(self, other) -> "GradedPoly":
+        return self + -other
 
     def scale(self, c) -> "GradedPoly":
+        if c == 1:
+            return self
         c = Fraction(c)
         return GradedPoly({k: v * c for k, v in self.terms.items()})
 
-    def mul(self, other: "GradedPoly", max_pow2: int | None = None) -> "GradedPoly":
+    def mul(self, other):
+        """Product with a polynomial or a rational; a product with a zero
+        number is the integer 0, which numpy object sums add cheaply."""
+        if not isinstance(other, GradedPoly):
+            return self.scale(other) if other else 0
         out: dict[tuple[int, Monomial], Fraction] = {}
         for (p1, m1), c1 in self.terms.items():
             for (p2, m2), c2 in other.terms.items():
-                p = p1 + p2
-                if max_pow2 is not None and p > max_pow2:
-                    continue
-                key = (p, _mono_mul(m1, m2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                key = (p1 + p2, _mono_mul(m1, m2))
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
         return GradedPoly(out)
+
+    __mul__ = __rmul__ = mul
 
     def truncate(self, max_pow2: int) -> "GradedPoly":
         return GradedPoly({k: v for k, v in self.terms.items() if k[0] <= max_pow2})
@@ -162,147 +186,68 @@ class GradedPoly:
         return f"GradedPoly({self.text()})"
 
 
-def _comb_fraction(k: int, l: int) -> Fraction:
-    return Fraction(math.comb(k + l - 1, k - 1) * l)
+def _exact_layout(n: int):
+    """(kernel, S, 1/k) at order n.  The kernel is ``_kernel_coeffs``'s under
+    the similarity D = diag(sqrt k), 1 at label 1 where Omega is read: its coef
+    is the integer kernel over k in place of sqrt(kl), beta's entries are
+    undivided, and beta_bar takes 1/k.  S is 1: the parameter^(w/2) of an
+    entry of weight w rides on the tables (``_table``)."""
+    inv_k = np.array([GradedPoly.const(Fraction(1, k)) for k in range(1, n + 1)], dtype=object)
+    return (_integer_kernel(n) * inv_k[:, None], _kernel_coeffs(n)[1], 1), np.ones(n, int), inv_k
 
 
-def _c_sym(k: int, l: int, torus: str, max_pow2: int) -> GradedPoly:
-    """Symbolic parameter^((k+l)/2) C(k,l)/k for the given torus symbol."""
-    if (k + l) % 2 == 1 or k + l > max_pow2:
-        return GradedPoly.zero()
-    coeff = Fraction((-1) ** (k + 1)) * _comb_fraction(k, l) / k
-    return GradedPoly.generator(torus, k + l, coeff, pow2=k + l)
+def _table(kind: str, top: int) -> list:
+    """[X_0..X_top] of a generator kind, X_w times parameter^(w/2), 0 at X_0
+    and at odd E_k, F_k."""
+    return [GradedPoly.generator(kind, w, pow2=w) if w and (kind == "P" or w % 2 == 0) else 0
+            for w in range(top + 1)]
 
 
-def _row_times_matrix(row: list[GradedPoly], mat: list[list[GradedPoly]],
-                      max_pow2: int) -> list[GradedPoly]:
-    n = len(mat[0])
-    out = [GradedPoly.zero() for _ in range(n)]
-    for i, cell in enumerate(row):
-        if not cell:
-            continue
-        for j in range(n):
-            if mat[i][j]:
-                out[j] = out[j] + cell.mul(mat[i][j], max_pow2)
+def _integer_series(max_pow2: int, *series: GradedPoly) -> tuple[GradedPoly, ...]:
+    """The series through parameter^(max_pow2/2), checked for integer powers."""
+    out = tuple(s.truncate(max_pow2) for s in series)
+    if not all(s.has_integer_powers() for s in out):
+        raise SewingError("half powers must cancel")
     return out
-
-
-def _neumann_row(start: list[GradedPoly], mat: list[list[GradedPoly]],
-                 max_pow2: int) -> list[GradedPoly]:
-    """start^T (I - mat)^-1 as a formal series, truncated at max_pow2."""
-    acc = list(start)
-    row = list(start)
-    while any(row):
-        row = _row_times_matrix(row, mat, max_pow2)
-        acc = [a + r for a, r in zip(acc, row)]
-    return acc
 
 
 def symbolic_period_eps(max_order: int = 9):
     """Exact series of (2pi*i*Om11, 2pi*i*Om12, 2pi*i*Om22) in the two-tori
     formalism, complete through eps^max_order.
 
-    The 1/sqrt(kl) entry weights conjugate away along any end-normalized
-    chain, leaving the rational matrix M_a(k,l) = eps^((k+l)/2) C(k,l)/k.
+    ``necklace_period_eps`` over exact entries: the walks through
+    M = [[0, A1], [A2, 0]] of order < max_order, read at label 1 as x12, u1
+    and u2, with A_a(k,l) = eps^((k+l)/2) C(k,l)/k.
     """
-    if not 1 <= max_order <= 10:
-        raise InvalidArgumentError("supported eps order range is 1..10")
-    max_pow2 = 2 * max_order
+    _require_order(max_order, 1, 10)
+    # the walks 1 -> 1 of order < max_order pass labels below max_order - 1
     n = max(1, max_order - 2)
-    m1 = [[_c_sym(k, l, "E", max_pow2) for l in range(1, n + 1)]
-          for k in range(1, n + 1)]
-    m2 = [[_c_sym(k, l, "F", max_pow2) for l in range(1, n + 1)]
-          for k in range(1, n + 1)]
-
-    def prod(a, b):
-        return [_row_times_matrix(a[i], b, max_pow2) for i in range(n)]
-
-    m12 = prod(m1, m2)
-    m21 = prod(m2, m1)
-    e1 = [GradedPoly.const(1) if j == 0 else GradedPoly.zero() for j in range(n)]
-    om12 = _neumann_row(e1, m12, max_pow2 - 2)[0]
-    om11 = _neumann_row(m2[0], m12, max_pow2 - 2)[0]  # e1^T M2 (I-M1M2)^-1
-    om22 = _neumann_row(m1[0], m21, max_pow2 - 2)[0]
-    eps1 = GradedPoly.const(1, pow2=2)
-    s11 = GradedPoly.generator("TAU", 1) + eps1.mul(om11, max_pow2)
-    s22 = GradedPoly.generator("TAU", 2) + eps1.mul(om22, max_pow2)
-    s12 = eps1.mul(om12, max_pow2).scale(-1)
-    if not all(s.has_integer_powers() for s in (s11, s12, s22)):
-        raise SewingError("half powers must cancel")
-    return s11, s12, s22
-
-
-def _d_sym(k: int, l: int, max_pow2: int) -> GradedPoly:
-    if k + l > max_pow2:
-        return GradedPoly.zero()
-    coeff = Fraction((-1) ** (k + 1)) * _comb_fraction(k, l)
-    return GradedPoly.generator("P", k + l, coeff, pow2=k + l)
-
-
-def _beta_sym(k: int, sign: int, max_pow2: int, over: int = 1) -> GradedPoly:
-    """rho^(k/2) (P_k - E_k) * sign / over."""
-    if k > max_pow2:
-        return GradedPoly.zero()
-    c = Fraction(sign, over)
-    out = GradedPoly.generator("P", k, c, pow2=k)
-    if k >= 2 and k % 2 == 0:
-        out = out - GradedPoly.generator("E", k, c, pow2=k)
-    return out
+    kernel, s, _ = _exact_layout(n)
+    x12, u1, u2 = _chequered_walks(_sks(kernel, _table("E", 2 * n), s),
+                                   _sks(kernel, _table("F", 2 * n), s), max_order - 1)
+    eps = GradedPoly.const(1, pow2=2)
+    return _integer_series(2 * max_order, GradedPoly.generator("TAU", 1) + eps * u2,
+                           -(eps * x12), GradedPoly.generator("TAU", 2) + eps * u1)
 
 
 def symbolic_period_rho(max_order: int = 4):
     """Exact series of (2pi*i*Om11, 2pi*i*Om12, 2pi*i*Om22) in the
     self-sewing formalism, complete through rho^max_order; the Om22 log head
-    is the opaque generator log(-rho/K^2)."""
-    if not 1 <= max_order <= 5:
-        raise InvalidArgumentError("supported rho order range is 1..5")
-    max_pow2 = 2 * max_order
+    is the opaque generator log(-rho/K^2).
+
+    ``necklace_period_rho`` over exact entries: the walks through R of order
+    < max_order, read as u.g, beta.g and beta.z.
+    """
+    _require_order(max_order, 1, 5)
     n = max_order
-    size = 2 * n
-
-    def rt(a: int, k: int, b: int, l: int) -> GradedPoly:
-        # -rho^((k+l)/2)/k times the D/C block pattern
-        if a == b == 1:
-            base = _d_sym(k, l, max_pow2)
-        elif a == b == 2:
-            base = _d_sym(l, k, max_pow2)
-        else:
-            base = _c_sym(k, l, "E", max_pow2).scale(k)  # undo the /k inside
-        return base.scale(Fraction(-1, k))
-
-    rmat = [[rt(a, k, b, l)
-             for b in (1, 2) for l in range(1, n + 1)]
-            for a in (1, 2) for k in range(1, n + 1)]
-
-    def sgn(a: int, k: int) -> int:
-        return -1 if a == 1 else (-1) ** k
-
-    beta_row = [_beta_sym(k, sgn(a, k), max_pow2)
-                for a in (1, 2) for k in range(1, n + 1)]
-    bbar_col = [_beta_sym(l, sgn(2 if b == 1 else 1, l), max_pow2, over=l)
-                for b in (1, 2) for l in range(1, n + 1)]
-
-    unit = [[GradedPoly.const(1) if j == i else GradedPoly.zero()
-             for j in range(size)] for i in (0, n)]
-    inv_rows = [_neumann_row(unit[0], rmat, max_pow2 - 2),
-                _neumann_row(unit[1], rmat, max_pow2 - 2)]
-    om11 = GradedPoly.zero()
-    for row in inv_rows:
-        om11 = om11 + row[0] + row[n]
-    beta_inv = _neumann_row(beta_row, rmat, max_pow2 - 1)
-    om_b1 = beta_inv[0] + beta_inv[n]
-    om_bb = GradedPoly.zero()
-    for cell, b in zip(beta_inv, bbar_col):
-        if cell and b:
-            om_bb = om_bb + cell.mul(b, max_pow2)
-    rho1 = GradedPoly.const(1, pow2=2)
-    rho_half = GradedPoly.const(1, pow2=1)
-    s11 = GradedPoly.generator("TAU", 0) + rho1.mul(om11, max_pow2).scale(-1)
-    s12 = GradedPoly.generator("W", 0) + rho_half.mul(om_b1, max_pow2).scale(-1)
-    s22 = GradedPoly.generator("LOG", 0) - om_bb.truncate(max_pow2)
-    if not all(s.has_integer_powers() for s in (s11, s12, s22)):
-        raise SewingError("half powers must cancel")
-    return s11, s12, s22
+    kernel, s, inv_k = _exact_layout(n)
+    r, beta = _rho_pair(kernel, _table("E", 2 * n), _table("P", 2 * n), s)
+    _, _, (sigma, beta_g, beta_z) = _rho_walks(
+        r.flat, beta.flat, beta.barred().flat * np.tile(inv_k, 2), max_order - 1)
+    return _integer_series(
+        2 * max_order, GradedPoly.generator("TAU", 0) - GradedPoly.const(1, pow2=2) * sigma,
+        GradedPoly.generator("W", 0) - GradedPoly.const(1, pow2=1) * beta_g,
+        GradedPoly.generator("LOG", 0) - beta_z)
 
 
 def series_generators(*series: GradedPoly) -> list[Generator]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
     Torus,
+    _comb,
     _comb_ratio,
     _heat_dtau,
     _log_prime_form_dtau,
@@ -93,17 +95,26 @@ class DetResult:
     reconciled: bool = True
 
 
+def _integer_kernel(n: int) -> np.ndarray:
+    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!), k, l = 1..n, as exact integers in
+    an object array; K^T = Sigma K Sigma with Sigma = diag((-1)^k)."""
+    kk = range(1, n + 1)
+    return np.array([[(-1) ** (k + 1) * _comb(k, l) for l in kk] for k in kk], dtype=object)
+
+
 @functools.lru_cache(maxsize=32)
-def _kernel_coeffs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!)/sqrt(kl) and the weight k + l for
-    k, l = 1..n, read-only and kept for the 32 orders used last."""
+def _kernel_coeffs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moment kernel at order n as (coef, weight, beta_w), read-only and
+    kept for the 32 orders used last: coef ``_integer_kernel`` over sqrt(kl),
+    the weight k + l of entry (k,l), and beta's entry weight 1/sqrt(k)."""
     coef = np.array([[(-1) ** (k + 1) * _comb_ratio(k, l) / math.sqrt(k * l)
                       for l in range(1, n + 1)] for k in range(1, n + 1)])
     kk = np.arange(1, n + 1)
     weight = kk[:, None] + kk[None, :]
-    coef.setflags(write=False)
-    weight.setflags(write=False)
-    return coef, weight
+    beta_w = 1.0 / np.sqrt(kk)
+    for arr in (coef, weight, beta_w):
+        arr.setflags(write=False)
+    return coef, weight, beta_w
 
 
 def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
@@ -118,31 +129,37 @@ def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
     return (half_power_sign * cmath.sqrt(param)) ** np.arange(1, n + 1)
 
 
-def _sks(table, s: np.ndarray) -> np.ndarray:
-    """S K(table) S, with the kernel
-    K(table)[k,l] = (-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!) table[k+l]/sqrt(kl)
-    for k, l = 1..n = len(s), from a table indexed by weight through 2n.
+def _sks(kernel, table, s: np.ndarray) -> np.ndarray:
+    """S K(table) S for the kernel (coef, weight, beta_w) at order n = len(s):
+    K(table)[k,l] = coef[k,l] table[k+l] from a table indexed by weight
+    through 2n.
 
-    K(E) carries C(k,l,tau)/sqrt(kl) and K(P) carries D(k,l,tau,w)/sqrt(kl).
+    For ``_kernel_coeffs`` K(E) carries C(k,l,tau)/sqrt(kl) and K(P) carries
+    D(k,l,tau,w)/sqrt(kl).
     """
-    coef, weight = _kernel_coeffs(len(s))
+    coef, weight, _ = kernel
     return coef * np.asarray(table)[weight] * np.outer(s, s)
 
 
-def _rho_pair(eis, pks, s: np.ndarray) -> tuple[BlockMomentMatrix, MomentVector]:
-    """R = -S2 [[K(P), K(E)], [K(E), K(P)^T]] S2 with S2 = (S, S), and
-    beta = S/sqrt(k) (P_k - E_k) (x) [-1, (-1)^k], from E and P tables
-    reaching weight 2n.
+def _rho_pair(kernel, eis, pks, s: np.ndarray) -> tuple[BlockMomentMatrix, MomentVector]:
+    """R = -S2 [[K(P), K(E)], [K(E), Sigma K(P) Sigma]] S2 with S2 = (S, S)
+    and Sigma = diag((-1)^k), and beta = S beta_w (P_k - E_k) (x) [-1, (-1)^k],
+    from E and P tables reaching weight 2n.
 
-    R^T is R with its blocks swapped.
+    For ``_kernel_coeffs`` Sigma K(P) Sigma = K(P)^T, and R^T is R with its
+    blocks swapped.
     """
     n = len(s)
+    coef, weight, beta_w = kernel
     eis, pks = np.asarray(eis), np.asarray(pks)
-    d, c = _sks(pks, s), _sks(eis, s)
-    kk = np.arange(1, n + 1)
-    base = s / np.sqrt(kk) * (pks[1:n + 1] - eis[1:n + 1])
-    return (BlockMomentMatrix(n, -np.block([[d, c], [c, d.T]])),
-            MomentVector(n, np.concatenate([-base, (-1.0) ** kk * base])))
+    d, c = _sks(kernel, pks, s), _sks(kernel, eis, s)
+    sgn = (-1) ** np.arange(1, n + 1)
+    # Sigma K(P) Sigma with s_l s_k for s_k s_l: K(P)^T to the bit when
+    # coef^T = Sigma coef Sigma
+    d22 = sgn[:, None] * coef * sgn * pks[weight] * np.outer(s, s).T
+    base = s * beta_w * (pks[1:n + 1] - eis[1:n + 1])
+    return (BlockMomentMatrix(n, -np.block([[d, c], [c, d22]])),
+            MomentVector(n, np.concatenate([-base, sgn * base])))
 
 
 def a_matrix(tau: complex, eps: complex, n: int,
@@ -159,7 +176,7 @@ def _a_matrix(table, eps: complex, n: int, half_power_sign: int = 1) -> MomentMa
 
     dA/deps needs no table: it is the diagonal scaling A(k,l) (k+l)/(2 eps).
     """
-    return MomentMatrix(n, _sks(table, _scaling(eps, n, half_power_sign)))
+    return MomentMatrix(n, _sks(_kernel_coeffs(n), table, _scaling(eps, n, half_power_sign)))
 
 
 def rho_moments(t: Torus, w: complex, rho: complex, n: int,
@@ -173,7 +190,7 @@ def rho_moments(t: Torus, w: complex, rho: complex, n: int,
     (P_1 has no Eisenstein term).
     """
     s = _scaling(rho, n, half_power_sign)
-    return _rho_pair(t.eisenstein(2 * n), t.weierstrass(2 * n, w), s)
+    return _rho_pair(_kernel_coeffs(n), t.eisenstein(2 * n), t.weierstrass(2 * n, w), s)
 
 
 def r_matrix(tau: complex, w: complex, rho: complex, n: int,
@@ -203,12 +220,14 @@ def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     d log K/dw = P_1 and d log K/dtau = pi*i (P_1^2 - P_2 + 3 E_2).
     """
     s = _scaling(rho, n, 1)
+    kernel = _kernel_coeffs(n)
     eis = t.eisenstein(2 * n)
     pks = np.asarray(t.weierstrass(2 * n + 2, w))
     dpks_dw = np.zeros(2 * n + 1, dtype=complex)
     dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
-    return (_rho_pair(eis, pks, s), _rho_pair(np.zeros(2 * n + 1), dpks_dw, s),
-            _rho_pair(t.eisenstein_dtau(2 * n), _heat_dtau(pks, 0), s),
+    return (_rho_pair(kernel, eis, pks, s),
+            _rho_pair(kernel, np.zeros(2 * n + 1), dpks_dw, s),
+            _rho_pair(kernel, t.eisenstein_dtau(2 * n), _heat_dtau(pks, 0), s),
             complex(pks[1]), _log_prime_form_dtau(pks[1], pks[2], eis[2]))
 
 
@@ -220,7 +239,7 @@ def sphere_moments(chi: complex, n: int,
     s = _scaling(-chi, n, half_power_sign)
     if not 0 < abs(chi) < 0.25:
         raise DomainError(f"sphere moments need 0 < |chi| < 1/4, got {abs(chi)}")
-    return _rho_pair(np.zeros(2 * n + 1), np.ones(2 * n + 1), s)
+    return _rho_pair(_kernel_coeffs(n), np.zeros(2 * n + 1), np.ones(2 * n + 1), s)
 
 
 def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -242,6 +261,13 @@ def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _require_order(order, least: int = 0, most: float = math.inf) -> None:
+    """The one check of a walk order, an integer in least..most: made by
+    ``neumann_id_minus`` and by every route on it before it sizes a layout."""
+    if not isinstance(order, numbers.Integral) or not least <= order <= most:
+        raise InvalidArgumentError(f"order must be an integer in {least}..{most}, got {order!r}")
+
+
 def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     """(I - M)^-1 rhs truncated at parameter order ``order``, with no solve.
 
@@ -250,25 +276,61 @@ def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     order is the sum of its edges'.  Those of order <= ``order`` are kept by
     the doubled-order recursion Y_0 = rhs, Y_c = sum_d M_d Y_(c-d) (M_d the
     entries of doubled order d), which splits each walk at its first edge.
+
+    Entries of any numpy dtype are summed as they are: complex numbers for
+    the necklace routes, exact polynomials in object arrays for ``formal``.
     """
-    m = np.asarray(m, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
+    _require_order(order)
+    m, rhs = np.asarray(m), np.asarray(rhs)
     size = m.shape[0]
-    if (m.shape != (size, size) or size < 2 or size % 2
-            or rhs.shape[:1] != (size,) or order < 0):
-        raise InvalidArgumentError("need a 2N x 2N M, 2N rows of rhs and order >= 0")
+    if m.shape != (size, size) or size < 2 or size % 2 or rhs.shape[:1] != (size,):
+        raise InvalidArgumentError("need a 2N x 2N M and 2N rows of rhs")
     n = size // 2
-    k = np.arange(size) % n + 1
     rows = np.arange(size)
+    k = rows % n + 1
     # ys[n + c] = Y_c, zero below c = 0; vs[e] = M Z_e with Z_e[l] = Y_(e-k_l)[l],
-    # so that Y_c[i] = sum_l M[i,l] Y_(c-k_i-k_l)[l] = vs[c - k_i][i]
-    ys = np.zeros((n + 2 * order + 1,) + rhs.shape, dtype=complex)
-    vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=complex)
+    # so that Y_c[i] = sum_l M[i,l] Y_(c-k_i-k_l)[l] = vs[c - k_i][i].  Row i of
+    # vs[e] is read only while e + k_i <= 2 order: vs keeps its rows ordered by
+    # label (row i at pos[i]) and each step multiplies the prefix that is read.
+    pos = 2 * (k - 1) + rows // n
+    m_by_label = m.reshape(2, n, size).swapaxes(0, 1).reshape(size, size)
+    dtype = np.result_type(m, rhs)
+    ys = np.zeros((n + 2 * order + 1,) + rhs.shape, dtype=dtype)
+    vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=dtype)
     ys[n] = rhs
     for c in range(1, 2 * order + 1):
-        vs[c - 1] = m @ ys[n + c - 1 - k, rows]
-        ys[n + c] = vs[np.maximum(c - k, 0), rows]
+        live = 2 * min(n, 2 * order - c + 1)
+        vs[c - 1, :live] = m_by_label[:live] @ ys[n + c - 1 - k, rows]
+        ys[n + c] = vs[np.maximum(c - k, 0), pos]
     return ys[n:].sum(axis=0)
+
+
+def _chequered_walks(a1: np.ndarray, a2: np.ndarray, order: int):
+    """(x12, u1, u2) = (I - A1 A2)^-1, (I - A1 A2)^-1 A1 and A2 (I - A1 A2)^-1
+    at (1,1), truncated at parameter order ``order``: the walks from label 1
+    through M = [[0, A1], [A2, 0]] alternate A1 and A2, so they are
+    (I - M)^-1 [e_(1,1), e_(1,2)] read at label 1."""
+    n = len(a1)
+    m = np.zeros((2 * n, 2 * n), dtype=np.result_type(a1, a2))
+    m[:n, n:], m[n:, :n] = a1, a2
+    rhs = np.zeros((2 * n, 2), dtype=m.dtype)
+    rhs[0, 0] = rhs[n, 1] = 1
+    sol = neumann_id_minus(m, rhs, order)
+    return sol[0, 0], sol[0, 1], sol[n, 0]
+
+
+def _rho_walks(r: np.ndarray, beta: np.ndarray, bbar: np.ndarray,
+               order: int | None = None):
+    """g = (I-R)^-1 u (u the sum of the unit vectors at k = 1), z =
+    (I-R)^-1 beta_bar and Omega's readouts (u.g, beta.g, beta.z); with
+    ``order`` given, (I-R)^-1 is the walk sum truncated at that order."""
+    n = len(r) // 2
+    rhs = np.zeros((2 * n, 2), dtype=np.result_type(r, bbar))
+    rhs[0, 0] = rhs[n, 0] = 1
+    rhs[:, 1] = bbar
+    sol = solve_id_minus(r, rhs) if order is None else neumann_id_minus(r, rhs, order)
+    g, z = sol[:, 0], sol[:, 1]
+    return g, z, (g[0] + g[n], beta @ g, beta @ z)
 
 
 def x_blocks(a1: MomentMatrix, a2: MomentMatrix):

@@ -28,7 +28,7 @@ from .lattice import (
     require_sl2,
     require_tau,
 )
-from .moments import _rho_moments_jacobian, neumann_id_minus, rho_moments, solve_id_minus
+from .moments import _require_order, _rho_moments_jacobian, _rho_walks, rho_moments
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -132,17 +132,11 @@ def _rho_solve(p: RhoPoint, r, beta, t: Torus, half_power_sign: int,
     R^T is R with its blocks swapped, so beta (I-R)^-1 is z with its blocks
     swapped and needs no second solve.
     """
-    n = r.order
-    rhs = np.zeros((2 * n, 2), dtype=complex)
-    rhs[0, 0] = rhs[n, 0] = 1.0
-    rhs[:, 1] = beta.barred().flat
-    sol = (solve_id_minus(r.flat, rhs) if order is None
-           else neumann_id_minus(r.flat, rhs, order))
-    g, z = sol[:, 0], sol[:, 1]
+    g, z, (sigma, beta_g, beta_z) = _rho_walks(r.flat, beta.flat, beta.barred().flat, order)
     sr = half_power_sign * cmath.sqrt(p.rho)
-    om11 = TWO_PI_I * p.tau - p.rho * (g[0] + g[n])
-    om12 = p.w - sr * (beta.flat @ g)
-    om22 = _log_head(p, t) - beta.flat @ z
+    om11 = TWO_PI_I * p.tau - p.rho * sigma
+    om12 = p.w - sr * beta_g
+    om22 = _log_head(p, t) - beta_z
     return PeriodMatrix(complex(om11 / TWO_PI_I), complex(om12 / TWO_PI_I),
                         complex(om22 / TWO_PI_I)), g, z
 
@@ -154,8 +148,7 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
     through R up to that order (``neumann_id_minus``) in place of (I - R)^-1.
     Agrees with ``period_matrix_rho`` to O(rho^(max_rho_order+1))."""
     _require_rho_domain(p)
-    if max_rho_order < 1:
-        raise InvalidArgumentError("max_rho_order must be >= 1")
+    _require_order(max_rho_order, 1)
     t = Torus(p.tau, tol)
     r, beta = rho_moments(t, p.w, p.rho, max_rho_order)
     return _rho_solve(p, r, beta, t, 1, max_rho_order)[0]

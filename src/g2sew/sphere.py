@@ -52,11 +52,13 @@ def catalan_f(chi: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
 
 
 def s_nk(n: int, k: int, chi: complex, truncation: int = 60) -> complex:
-    """Nested binomial sum S_{n,k}(chi): S_{1,k} = 1 and the (n-1)-fold
-    convolution of Eq.-type kernels for n > 1, each index summed to the
-    truncation bound."""
+    """Nested binomial sum S_{n,k}(chi) by the recurrence
+    S_{n,k} = sum_{j=1..m} chi^j C(k+j-1, j) S_{n-1,j}, S_{1,j} = 1, with
+    every index summed to m = truncation."""
     if n < 1 or k < 1:
         raise InvalidArgumentError("s_nk requires n, k >= 1")
+    if truncation < 1:
+        raise InvalidArgumentError(f"s_nk needs truncation >= 1, got {truncation}")
     if n == 1:
         return 1.0 + 0j
     chi = complex(chi)

@@ -1,11 +1,13 @@
 """Reference helpers shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from g2sew import elliptic
 from g2sew.errors import ToleranceError
+from g2sew.formal import GradedPoly, _mono_mul
 from g2sew.lattice import TWO_PI_I, reduce_mod_lattice
 
 
@@ -110,3 +112,116 @@ def weierstrass_reference(t, kmax: int, z: complex) -> list[complex]:
         out[k] = elliptic._p_qz_route(k, t.q, z_c, heads[k], tol, a - m_c)
     out[1] -= m_c
     return out
+
+
+def _mul_reference(a: GradedPoly, b: GradedPoly, max_pow2: int) -> GradedPoly:
+    """a * b with every term above parameter^(max_pow2/2) dropped."""
+    out: dict = {}
+    for (p1, m1), c1 in a.terms.items():
+        for (p2, m2), c2 in b.terms.items():
+            if p1 + p2 <= max_pow2:
+                key = (p1 + p2, _mono_mul(m1, m2))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return GradedPoly(out)
+
+
+def _c_reference(k: int, l: int, torus: str, max_pow2: int) -> GradedPoly:
+    """parameter^((k+l)/2) C(k,l)/k for the given torus symbol."""
+    if (k + l) % 2 == 1 or k + l > max_pow2:
+        return GradedPoly()
+    coeff = Fraction((-1) ** (k + 1) * math.comb(k + l - 1, k - 1) * l, k)
+    return GradedPoly.generator(torus, k + l, coeff, pow2=k + l)
+
+
+def _d_reference(k: int, l: int, max_pow2: int) -> GradedPoly:
+    """parameter^((k+l)/2) D(k,l) in P_(k+l)."""
+    if k + l > max_pow2:
+        return GradedPoly()
+    coeff = Fraction((-1) ** (k + 1) * math.comb(k + l - 1, k - 1) * l)
+    return GradedPoly.generator("P", k + l, coeff, pow2=k + l)
+
+
+def _beta_reference(k: int, sign: int, max_pow2: int, over: int = 1) -> GradedPoly:
+    """parameter^(k/2) (P_k - E_k) * sign / over."""
+    if k > max_pow2:
+        return GradedPoly()
+    c = Fraction(sign, over)
+    out = GradedPoly.generator("P", k, c, pow2=k)
+    if k >= 2 and k % 2 == 0:
+        out = out + GradedPoly.generator("E", k, -c, pow2=k)
+    return out
+
+
+def _row_times_matrix_reference(row, mat, max_pow2):
+    out = [GradedPoly() for _ in mat[0]]
+    for i, cell in enumerate(row):
+        for j, entry in enumerate(mat[i]):
+            if cell and entry:
+                out[j] = out[j] + _mul_reference(cell, entry, max_pow2)
+    return out
+
+
+def _neumann_row_reference(start, mat, max_pow2):
+    """start^T (I - mat)^-1 as a formal series, truncated at max_pow2."""
+    acc, row = list(start), list(start)
+    while any(row):
+        row = _row_times_matrix_reference(row, mat, max_pow2)
+        acc = [a + r for a, r in zip(acc, row)]
+    return acc
+
+
+def symbolic_reference(formalism: str, order: int) -> tuple[GradedPoly, ...]:
+    """(2pi*i*Om11, 2pi*i*Om12, 2pi*i*Om22) through parameter^order by row
+    Neumann sums over nested lists of rational entries, every product
+    truncated at the order: eps from (I - M1 M2)^-1 with
+    M_a(k,l) = eps^((k+l)/2) C(k,l)/k, rho from (I - R)^-1 with the D/C block
+    pattern of R over k and the beta, beta-bar rows."""
+    max_pow2 = 2 * order
+    eps1 = GradedPoly.const(1, pow2=2)
+    if formalism == "eps":
+        n = max(1, order - 2)
+        m1 = [[_c_reference(k, l, "E", max_pow2) for l in range(1, n + 1)]
+              for k in range(1, n + 1)]
+        m2 = [[_c_reference(k, l, "F", max_pow2) for l in range(1, n + 1)]
+              for k in range(1, n + 1)]
+        m12 = [_row_times_matrix_reference(row, m2, max_pow2) for row in m1]
+        m21 = [_row_times_matrix_reference(row, m1, max_pow2) for row in m2]
+        e1 = [GradedPoly.const(1)] + [GradedPoly()] * (n - 1)
+        om12 = _neumann_row_reference(e1, m12, max_pow2 - 2)[0]
+        om11 = _neumann_row_reference(m2[0], m12, max_pow2 - 2)[0]
+        om22 = _neumann_row_reference(m1[0], m21, max_pow2 - 2)[0]
+        return (GradedPoly.generator("TAU", 1) + _mul_reference(eps1, om11, max_pow2),
+                _mul_reference(eps1, om12, max_pow2).scale(-1),
+                GradedPoly.generator("TAU", 2) + _mul_reference(eps1, om22, max_pow2))
+    n = order
+
+    def entry(a, k, b, l):
+        if a == b == 1:
+            base = _d_reference(k, l, max_pow2)
+        elif a == b == 2:
+            base = _d_reference(l, k, max_pow2)
+        else:
+            base = _c_reference(k, l, "E", max_pow2).scale(k)
+        return base.scale(Fraction(-1, k))
+
+    def sign(a, k):
+        return -1 if a == 1 else (-1) ** k
+
+    labels = [(a, k) for a in (1, 2) for k in range(1, n + 1)]
+    rmat = [[entry(a, k, b, l) for b, l in labels] for a, k in labels]
+    beta_row = [_beta_reference(k, sign(a, k), max_pow2) for a, k in labels]
+    bbar_col = [_beta_reference(l, sign(3 - b, l), max_pow2, over=l) for b, l in labels]
+    om11 = GradedPoly()
+    for start in (0, n):
+        unit = [GradedPoly.const(1) if j == start else GradedPoly() for j in range(2 * n)]
+        row = _neumann_row_reference(unit, rmat, max_pow2 - 2)
+        om11 = om11 + row[0] + row[n]
+    beta_inv = _neumann_row_reference(beta_row, rmat, max_pow2 - 1)
+    om_bb = GradedPoly()
+    for cell, b in zip(beta_inv, bbar_col):
+        om_bb = om_bb + _mul_reference(cell, b, max_pow2)
+    rho_half = GradedPoly.const(1, pow2=1)
+    return (GradedPoly.generator("TAU", 0) + _mul_reference(eps1, om11, max_pow2).scale(-1),
+            GradedPoly.generator("W", 0)
+            + _mul_reference(rho_half, beta_inv[0] + beta_inv[n], max_pow2).scale(-1),
+            GradedPoly.generator("LOG", 0) + om_bb.scale(-1))

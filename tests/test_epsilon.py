@@ -34,6 +34,7 @@ from g2sew import (
     necklace_period_eps,
     period_matrix_eps,
     prime_form,
+    s_nk,
     sp4_action,
     weierstrass_p,
 )
@@ -301,8 +302,11 @@ class TestGroupAction:
     lambda: LElement("gamma1", mat=((1, 0.5), (0, 1))),
     lambda: LElement("mu", (0.5, 0, 0)),
     lambda: prime_form(1j, 0, route="bogus"),
+    lambda: s_nk(2, 1, 0.1, truncation=0),
+    lambda: s_nk(2, 1, 0.1, truncation=-5),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
-        "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route"])
+        "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
+        "s-nk-no-terms", "s-nk-negative-terms"])
 def test_outside_input_raises_typed_error(make):
     with pytest.raises(InvalidArgumentError):
         make()

@@ -25,6 +25,7 @@ from g2sew import (
     weierstrass_p,
 )
 from g2sew.lattice import TWO_PI_I
+from helpers import symbolic_reference
 
 
 def gp(kind, idx):
@@ -195,6 +196,16 @@ class TestAppendixEps:
     def test_half_powers_cancel(self):
         for s in symbolic_period_eps(7):
             assert s.has_integer_powers()
+
+
+@pytest.mark.parametrize("formalism, orders", [("eps", range(1, 11)), ("rho", range(1, 6))])
+def test_every_supported_order_matches_reference(formalism, orders):
+    # the row-Neumann engine over nested lists, kept in helpers, against the
+    # walk sum over object arrays at every order the engine supports
+    fn = symbolic_period_eps if formalism == "eps" else symbolic_period_rho
+    for order in orders:
+        got = [s.terms for s in fn(order)]
+        assert got == [s.terms for s in symbolic_reference(formalism, order)], order
 
 
 class TestAppendixRho:

@@ -2,6 +2,8 @@
 walk sum against a brute-force walk enumeration, and both necklace routes
 against their matrix routes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def walk_sum(m, rhs, order):
                 extend(start, l, weight * m[i, l], doubled + cost)
 
     for i in range(size):
-        extend(i, i, 1.0 + 0j, 0)
+        extend(i, i, 1, 0)
     return out
 
 
@@ -50,12 +52,17 @@ class TestNeumannIdMinus:
         assert np.max(np.abs(neumann_id_minus(m, rhs, order) - want)) < tol
         # one right-hand side at a time
         assert np.max(np.abs(neumann_id_minus(m, rhs[:, 0], order) - want[:, 0])) < tol
+        # exact entries: Fractions in object arrays, summed with no rounding
+        m_q = np.vectorize(Fraction, otypes=[object])(RNG.integers(-9, 10, size=m.shape), 7)
+        rhs_q = np.vectorize(Fraction, otypes=[object])(RNG.integers(-9, 10, size=rhs.shape), 5)
+        assert (neumann_id_minus(m_q, rhs_q, order) == walk_sum(m_q, rhs_q, order)).all()
 
     @pytest.mark.parametrize("m, rhs, order", [
         (np.zeros((3, 3)), np.zeros(3), 2),   # odd size
         (np.zeros((4, 2)), np.zeros(4), 2),   # not square
         (np.zeros((4, 4)), np.zeros(2), 2),   # rhs rows
         (np.zeros((4, 4)), np.zeros(4), -1),  # negative order
+        (np.zeros((4, 4)), np.zeros(4), 2.5),  # non-integral order
     ])
     def test_rejects_bad_shapes_and_orders(self, m, rhs, order):
         with pytest.raises(InvalidArgumentError):
