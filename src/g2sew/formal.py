@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .elliptic import _comb
 from .errors import SewingError, UnassignedGeneratorError
-from .moments import _chequered_walks, _integer_kernel, _kernel_coeffs, _require_order
+from .moments import _chequered_walks, _require_order
 from .moments import _rho_pair, _rho_walks, _sks
 
 # generator kinds, in canonical display order
@@ -189,11 +190,15 @@ class GradedPoly:
 def _exact_layout(n: int):
     """(kernel, S, 1/k) at order n.  The kernel is ``_kernel_coeffs``'s under
     the similarity D = diag(sqrt k), 1 at label 1 where Omega is read: its coef
-    is the integer kernel over k in place of sqrt(kl), beta's entries are
-    undivided, and beta_bar takes 1/k.  S is 1: the parameter^(w/2) of an
+    is (-1)^(k+1) ``_comb(k, l)`` over k in place of sqrt(kl), beta's entries
+    are undivided, and beta_bar takes 1/k.  S is 1: the parameter^(w/2) of an
     entry of weight w rides on the tables (``_table``)."""
-    inv_k = np.array([GradedPoly.const(Fraction(1, k)) for k in range(1, n + 1)], dtype=object)
-    return (_integer_kernel(n) * inv_k[:, None], _kernel_coeffs(n)[1], 1), np.ones(n, int), inv_k
+    kk = range(1, n + 1)
+    coef = np.array([[GradedPoly.const(Fraction((-1) ** (k + 1) * _comb(k, l), k)) for l in kk]
+                     for k in kk], dtype=object)
+    inv_k = np.array([GradedPoly.const(Fraction(1, k)) for k in kk], dtype=object)
+    weight = np.add.outer(kk, kk)
+    return (coef, weight, 1), np.ones(n, int), inv_k
 
 
 def _table(kind: str, top: int) -> list:

@@ -20,7 +20,6 @@ from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
     Torus,
-    _comb,
     _comb_ratio,
     _heat_dtau,
     _log_prime_form_dtau,
@@ -95,26 +94,20 @@ class DetResult:
     reconciled: bool = True
 
 
-def _integer_kernel(n: int) -> np.ndarray:
-    """(-1)^(k+1) (k+l-1)!/((k-1)!(l-1)!), k, l = 1..n, as exact integers in
-    an object array; K^T = Sigma K Sigma with Sigma = diag((-1)^k)."""
-    kk = range(1, n + 1)
-    return np.array([[(-1) ** (k + 1) * _comb(k, l) for l in kk] for k in kk], dtype=object)
-
-
 @functools.lru_cache(maxsize=32)
 def _kernel_coeffs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moment kernel at order n as (coef, weight, beta_w), read-only and
-    kept for the 32 orders used last: coef ``_integer_kernel`` over sqrt(kl),
-    the weight k + l of entry (k,l), and beta's entry weight 1/sqrt(k)."""
+    """The moment kernel at order n as (coef, weight, beta_div), read-only
+    and kept for the 32 orders used last: coef (-1)^(k+1) ``_comb(k, l)``
+    over sqrt(kl), the weight k + l of entry (k,l), and beta's divisor
+    sqrt(k)."""
     coef = np.array([[(-1) ** (k + 1) * _comb_ratio(k, l) / math.sqrt(k * l)
                       for l in range(1, n + 1)] for k in range(1, n + 1)])
     kk = np.arange(1, n + 1)
     weight = kk[:, None] + kk[None, :]
-    beta_w = 1.0 / np.sqrt(kk)
-    for arr in (coef, weight, beta_w):
+    beta_div = np.sqrt(kk)
+    for arr in (coef, weight, beta_div):
         arr.setflags(write=False)
-    return coef, weight, beta_w
+    return coef, weight, beta_div
 
 
 def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
@@ -130,7 +123,7 @@ def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
 
 
 def _sks(kernel, table, s: np.ndarray) -> np.ndarray:
-    """S K(table) S for the kernel (coef, weight, beta_w) at order n = len(s):
+    """S K(table) S for the kernel (coef, weight, beta_div) at order n = len(s):
     K(table)[k,l] = coef[k,l] table[k+l] from a table indexed by weight
     through 2n.
 
@@ -143,21 +136,22 @@ def _sks(kernel, table, s: np.ndarray) -> np.ndarray:
 
 def _rho_pair(kernel, eis, pks, s: np.ndarray) -> tuple[BlockMomentMatrix, MomentVector]:
     """R = -S2 [[K(P), K(E)], [K(E), Sigma K(P) Sigma]] S2 with S2 = (S, S)
-    and Sigma = diag((-1)^k), and beta = S beta_w (P_k - E_k) (x) [-1, (-1)^k],
+    and Sigma = diag((-1)^k), and beta = S/beta_div (P_k - E_k) (x) [-1, (-1)^k],
     from E and P tables reaching weight 2n.
 
     For ``_kernel_coeffs`` Sigma K(P) Sigma = K(P)^T, and R^T is R with its
     blocks swapped.
     """
     n = len(s)
-    coef, weight, beta_w = kernel
+    coef, weight, beta_div = kernel
     eis, pks = np.asarray(eis), np.asarray(pks)
-    d, c = _sks(kernel, pks, s), _sks(kernel, eis, s)
+    ss, kp = np.outer(s, s), pks[weight]
     sgn = (-1) ** np.arange(1, n + 1)
+    d, c = coef * kp * ss, coef * eis[weight] * ss
     # Sigma K(P) Sigma with s_l s_k for s_k s_l: K(P)^T to the bit when
     # coef^T = Sigma coef Sigma
-    d22 = sgn[:, None] * coef * sgn * pks[weight] * np.outer(s, s).T
-    base = s * beta_w * (pks[1:n + 1] - eis[1:n + 1])
+    d22 = sgn[:, None] * coef * sgn * kp * ss.T
+    base = s / beta_div * (pks[1:n + 1] - eis[1:n + 1])
     return (BlockMomentMatrix(n, -np.block([[d, c], [c, d22]])),
             MomentVector(n, np.concatenate([-base, sgn * base])))
 
@@ -265,7 +259,8 @@ def _require_order(order, least: int = 0, most: float = math.inf) -> None:
     """The one check of a walk order, an integer in least..most: made by
     ``neumann_id_minus`` and by every route on it before it sizes a layout."""
     if not isinstance(order, numbers.Integral) or not least <= order <= most:
-        raise InvalidArgumentError(f"order must be an integer in {least}..{most}, got {order!r}")
+        bound = f"in {least}..{most}" if most < math.inf else f">= {least}"
+        raise InvalidArgumentError(f"order must be an integer {bound}, got {order!r}")
 
 
 def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
@@ -277,8 +272,9 @@ def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     the doubled-order recursion Y_0 = rhs, Y_c = sum_d M_d Y_(c-d) (M_d the
     entries of doubled order d), which splits each walk at its first edge.
 
-    Entries of any numpy dtype are summed as they are: complex numbers for
-    the necklace routes, exact polynomials in object arrays for ``formal``.
+    Float, complex and object entries are summed as they are: complex
+    numbers for the necklace routes, exact polynomials in object arrays for
+    ``formal``; integer and boolean entries are summed as complex.
     """
     _require_order(order)
     m, rhs = np.asarray(m), np.asarray(rhs)
@@ -286,22 +282,19 @@ def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     if m.shape != (size, size) or size < 2 or size % 2 or rhs.shape[:1] != (size,):
         raise InvalidArgumentError("need a 2N x 2N M and 2N rows of rhs")
     n = size // 2
+    k = np.arange(size) % n + 1
     rows = np.arange(size)
-    k = rows % n + 1
     # ys[n + c] = Y_c, zero below c = 0; vs[e] = M Z_e with Z_e[l] = Y_(e-k_l)[l],
-    # so that Y_c[i] = sum_l M[i,l] Y_(c-k_i-k_l)[l] = vs[c - k_i][i].  Row i of
-    # vs[e] is read only while e + k_i <= 2 order: vs keeps its rows ordered by
-    # label (row i at pos[i]) and each step multiplies the prefix that is read.
-    pos = 2 * (k - 1) + rows // n
-    m_by_label = m.reshape(2, n, size).swapaxes(0, 1).reshape(size, size)
+    # so that Y_c[i] = sum_l M[i,l] Y_(c-k_i-k_l)[l] = vs[c - k_i][i]
     dtype = np.result_type(m, rhs)
+    if dtype.kind not in "fcO":
+        dtype = np.dtype(complex)
     ys = np.zeros((n + 2 * order + 1,) + rhs.shape, dtype=dtype)
     vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=dtype)
     ys[n] = rhs
     for c in range(1, 2 * order + 1):
-        live = 2 * min(n, 2 * order - c + 1)
-        vs[c - 1, :live] = m_by_label[:live] @ ys[n + c - 1 - k, rows]
-        ys[n + c] = vs[np.maximum(c - k, 0), pos]
+        vs[c - 1] = m @ ys[n + c - 1 - k, rows]
+        ys[n + c] = vs[np.maximum(c - k, 0), rows]
     return ys[n:].sum(axis=0)
 
 

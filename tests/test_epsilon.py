@@ -36,6 +36,8 @@ from g2sew import (
     prime_form,
     s_nk,
     sp4_action,
+    symbolic_period_eps,
+    symbolic_period_rho,
     weierstrass_p,
 )
 from g2sew import epsilon as eps_mod
@@ -304,9 +306,13 @@ class TestGroupAction:
     lambda: prime_form(1j, 0, route="bogus"),
     lambda: s_nk(2, 1, 0.1, truncation=0),
     lambda: s_nk(2, 1, 0.1, truncation=-5),
+    lambda: symbolic_period_eps(11),
+    lambda: symbolic_period_rho(6),
+    lambda: symbolic_period_eps(2.5),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
         "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
-        "s-nk-no-terms", "s-nk-negative-terms"])
+        "s-nk-no-terms", "s-nk-negative-terms", "eps-series-past-cap",
+        "rho-series-past-cap", "eps-series-non-integral"])
 def test_outside_input_raises_typed_error(make):
     with pytest.raises(InvalidArgumentError):
         make()

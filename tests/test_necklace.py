@@ -56,6 +56,12 @@ class TestNeumannIdMinus:
         m_q = np.vectorize(Fraction, otypes=[object])(RNG.integers(-9, 10, size=m.shape), 7)
         rhs_q = np.vectorize(Fraction, otypes=[object])(RNG.integers(-9, 10, size=rhs.shape), 5)
         assert (neumann_id_minus(m_q, rhs_q, order) == walk_sum(m_q, rhs_q, order)).all()
+        # integer entries are summed as complex, with no int64 wraparound
+        m_i = RNG.integers(-9, 10, size=m.shape)
+        rhs_i = RNG.integers(-9, 10, size=rhs.shape)
+        got = neumann_id_minus(m_i, rhs_i, order)
+        assert got.dtype == complex
+        assert (got == walk_sum(m_i.astype(object), rhs_i.astype(object), order)).all()
 
     @pytest.mark.parametrize("m, rhs, order", [
         (np.zeros((3, 3)), np.zeros(3), 2),   # odd size
