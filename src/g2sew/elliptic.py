@@ -274,30 +274,64 @@ def _p_qz_route(k: int, q: complex, z: complex, head_poly: tuple[tuple[int, floa
     )
 
 
-def _laurent_weight(k: int, az: float, dmin: float, tol: SeriesTolerance) -> int:
+def _laurent_tail(k: int, w: int, az: float, dmin: float) -> float:
+    """Bound on the tail of the z-Laurent series of P_k about 0 at |z| = az
+    past E_w, for k = 1, or for k >= 2 where its ratio test holds; inf where
+    it leaves the double range."""
+    r = az / dmin
+    try:
+        if k == 1:
+            return _EISEN_LATTICE_BOUND * r ** (w + 1) / dmin / (1.0 - r)
+        # term_(l+1) bound at l = w - kk, over 1 - the ratio of its terms
+        kk = k - 1
+        l = w - kk
+        rho = r * (kk + l + 1) / (l + 1)
+        return (_comb_ratio(kk, l + 1) / kk * _EISEN_LATTICE_BOUND
+                * dmin ** (-(kk + l + 1)) * az**l) / (1.0 - rho)
+    except OverflowError:
+        return math.inf
+
+
+def _laurent_weight(k: int, az: float, dmin: float, tol: SeriesTolerance,
+                    guess: int | None = None) -> int:
     """Weight of the last E_m that the z-Laurent series of P_k about 0 reads
     at |z| = az < D(Lambda_tau): its tail bound certifies below abs_tol
     there, and reads no E_m.  Past _LAURENT_MAX_WEIGHT (or a bound that
-    leaves the double range) it returns _LAURENT_MAX_WEIGHT + 1."""
+    leaves the double range) it returns _LAURENT_MAX_WEIGHT + 1.
+
+    Once the ratio r (w+1)/(w-k+2) of the tail's terms is below 1 it stays
+    so, and the bound falls with w, by at least that ratio a step; the
+    range is left past some weight and not before it.  So the first weight
+    whose bound is not above abs_tol is found by a search that gallops up
+    and then bisects, in O(log) bounds.  It starts from ``guess`` when that
+    is given (P_(k-1)'s weight, which P_k's is at or just above), so most
+    searches read two or three bounds; any guess gives the same weight."""
     r = az / dmin
-    kk = k - 1
-    try:
-        for w in range(max(2, k), _LAURENT_MAX_WEIGHT + 1):
-            if k == 1:
-                bound = _EISEN_LATTICE_BOUND * r ** (w + 1) / dmin / (1.0 - r)
-            else:
-                # term_(l+1) bound at l = w - kk, once the ratio is below 1
-                l = w - kk
-                rho = r * (kk + l + 1) / (l + 1)
-                if not rho < 1.0:
-                    continue
-                bound = (_comb_ratio(kk, l + 1) / kk * _EISEN_LATTICE_BOUND
-                         * dmin ** (-(kk + l + 1)) * az**l) / (1.0 - rho)
-            if bound < tol.abs_tol:
-                return w
-    except OverflowError:
-        pass
-    return _LAURENT_MAX_WEIGHT + 1
+    lo = max(2, k)
+    while k > 1 and lo <= _LAURENT_MAX_WEIGHT and not r * (lo + 1) / (lo - k + 2) < 1.0:
+        lo += 1
+    # no weight below lo is the answer; hi is the least weight found not
+    # above abs_tol, with its bound, or the cap + 1
+    hi, hi_bound = _LAURENT_MAX_WEIGHT + 1, math.inf
+
+    def above(w: int) -> bool:
+        nonlocal hi, hi_bound
+        bound = _laurent_tail(k, w, az, dmin)
+        if tol.abs_tol <= bound < math.inf:
+            return True
+        hi, hi_bound = w, bound
+        return False
+
+    if guess is not None and lo < guess <= hi and above(guess - 1):
+        lo = guess
+    probe, step = lo, 1
+    while probe < hi and above(probe):
+        lo, probe, step = probe + 1, probe + 1 + step, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid + 1
+    return hi if hi_bound < tol.abs_tol else _LAURENT_MAX_WEIGHT + 1
 
 
 def _p_laurent_route(k: int, z: complex, eis: list[complex], weight: int) -> complex:
@@ -455,8 +489,9 @@ class Torus:
         if abs(z_near) < 0.5 * dmin:
             # every tail certificate first, then one E_k table to the weight
             # they name; past the cap the q_z route, which converges off the lattice
-            weights = [_laurent_weight(k, abs(z_near), dmin, tol)
-                       for k in range(1, kmax + 1)]
+            weights = [_laurent_weight(1, abs(z_near), dmin, tol)]
+            for k in range(2, kmax + 1):
+                weights.append(_laurent_weight(k, abs(z_near), dmin, tol, weights[-1]))
             if max(weights) <= _LAURENT_MAX_WEIGHT:
                 eis = self.eisenstein(max(weights))
                 for k, weight in enumerate(weights, 1):

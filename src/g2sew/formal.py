@@ -9,13 +9,17 @@ must come out with integer powers only.
 The series are the necklace routes' walk sums (``neumann_id_minus``) run over
 exact entries: the moment matrices are numpy object arrays of ``GradedPoly``
 built from the same integer kernel, and Omega is read at label 1 as there.
+Each supported order is built once per process and shared: ``GradedPoly`` is
+immutable, so no caller can change a shared series.
 """
 
 from __future__ import annotations
 
 import cmath
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,12 +73,21 @@ def _mono_weight(m: Monomial) -> int:
 
 class GradedPoly:
     """Multivariate polynomial over the generators, graded by the formal
-    parameter with exponents stored as pow2 = 2 * exponent."""
+    parameter with exponents stored as pow2 = 2 * exponent.  Immutable:
+    every operation builds a new polynomial."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, Monomial], Fraction] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self._terms = MappingProxyType({k: v for k, v in (terms or {}).items() if v})
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """{(pow2, monomial): coefficient}, read-only."""
+        return self._terms
+
+    def __reduce__(self):
+        return GradedPoly, (dict(self._terms),)
 
     @classmethod
     def zero(cls) -> "GradedPoly":
@@ -99,7 +112,7 @@ class GradedPoly:
             if not other:
                 return self
             other = GradedPoly.const(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for key, c in other.terms.items():
             out[key] = out[key] + c if key in out else c
         return GradedPoly(out)
@@ -216,15 +229,42 @@ def _integer_series(max_pow2: int, *series: GradedPoly) -> tuple[GradedPoly, ...
     return out
 
 
+# {(formalism, order): series} for the orders asked for so far.  Extensions
+# are built under the lock and published by rebinding to a new dict, like
+# elliptic's Bernoulli table, so a reader needs no lock; the caps of
+# symbolic_period_eps/rho bound it to 15 entries.
+_series_table: dict[tuple[str, int], tuple[GradedPoly, ...]] = {}
+_series_lock = threading.Lock()
+
+
+def _series(formalism: str, order: int, build) -> tuple[GradedPoly, ...]:
+    """The table's series at (formalism, order), ``build(order)`` on first
+    request."""
+    global _series_table
+    series = _series_table.get((formalism, order))
+    if series is None:
+        with _series_lock:
+            series = _series_table.get((formalism, order))
+            if series is None:
+                series = build(order)
+                _series_table = {**_series_table, (formalism, order): series}
+    return series
+
+
 def symbolic_period_eps(max_order: int = 9):
     """Exact series of (2pi*i*Om11, 2pi*i*Om12, 2pi*i*Om22) in the two-tori
     formalism, complete through eps^max_order.
 
     ``necklace_period_eps`` over exact entries: the walks through
     M = [[0, A1], [A2, 0]] of order < max_order, read at label 1 as x12, u1
-    and u2, with A_a(k,l) = eps^((k+l)/2) C(k,l)/k.
+    and u2, with A_a(k,l) = eps^((k+l)/2) C(k,l)/k.  Each order is built
+    once per process and the same read-only series returned to every call.
     """
     _require_order(max_order, 1, 10)
+    return _series("eps", max_order, _build_eps)
+
+
+def _build_eps(max_order: int) -> tuple[GradedPoly, ...]:
     # the walks 1 -> 1 of order < max_order pass labels below max_order - 1
     n = max(1, max_order - 2)
     kernel, s, _ = _exact_layout(n)
@@ -240,15 +280,25 @@ def symbolic_period_rho(max_order: int = 4):
     self-sewing formalism, complete through rho^max_order; the Om22 log head
     is the opaque generator log(-rho/K^2).
 
-    ``necklace_period_rho`` over exact entries: the walks through R of order
-    < max_order, read as u.g, beta.g and beta.z.
+    ``necklace_period_rho`` over exact entries: the walks through R read as
+    u.g, beta.g and beta.z.  Each order is built once per process and the
+    same read-only series returned to every call.
     """
     _require_order(max_order, 1, 5)
+    return _series("rho", max_order, _build_rho)
+
+
+def _build_rho(max_order: int) -> tuple[GradedPoly, ...]:
     n = max_order
     kernel, s, inv_k = _exact_layout(n)
     r, beta = _rho_pair(kernel, _table("E", 2 * n), _table("P", 2 * n), s)
+    # each readout carries rho^1 besides its walk (rho u.g, rho^(1/2) beta_k g
+    # and beta_k z with k >= 1), so the walks run to order max_order - 1; a
+    # walk to beta_bar(l) also carries its rho^(l/2), so it enters l - 1
+    # doubled orders late and is summed only as far as the readout keeps
+    start = np.stack([np.zeros(2 * n, int), np.tile(np.arange(n), 2)], axis=1)
     _, _, (sigma, beta_g, beta_z) = _rho_walks(
-        r.flat, beta.flat, beta.barred().flat * np.tile(inv_k, 2), max_order - 1)
+        r.flat, beta.flat, beta.barred().flat * np.tile(inv_k, 2), max_order - 1, start)
     return _integer_series(
         2 * max_order, GradedPoly.generator("TAU", 0) - GradedPoly.const(1, pow2=2) * sigma,
         GradedPoly.generator("W", 0) - GradedPoly.const(1, pow2=1) * beta_g,

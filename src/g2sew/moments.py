@@ -256,9 +256,11 @@ def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _require_order(order, least: int = 0, most: float = math.inf) -> None:
-    """The one check of a walk order, an integer in least..most: made by
-    ``neumann_id_minus`` and by every route on it before it sizes a layout."""
-    if not isinstance(order, numbers.Integral) or not least <= order <= most:
+    """The one check of a walk order, an integer (not a bool) in least..most:
+    made by ``neumann_id_minus`` and by every route on it before it sizes a
+    layout."""
+    if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
+            or not least <= order <= most):
         bound = f"in {least}..{most}" if most < math.inf else f">= {least}"
         raise InvalidArgumentError(f"order must be an integer {bound}, got {order!r}")
 
@@ -276,6 +278,14 @@ def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     numbers for the necklace routes, exact polynomials in object arrays for
     ``formal``; integer and boolean entries are summed as complex.
     """
+    return _walk_sum(m, rhs, order)
+
+
+def _walk_sum(m: np.ndarray, rhs: np.ndarray, order: int, start=None) -> np.ndarray:
+    """``neumann_id_minus``; with ``start`` (doubled orders, broadcast to
+    rhs's shape) each rhs entry enters the recursion at Y_start rather than
+    Y_0, for entries that carry the parameter^(start/2) already: a walk
+    ending there is kept while its order plus start/2 is <= ``order``."""
     _require_order(order)
     m, rhs = np.asarray(m), np.asarray(rhs)
     size = m.shape[0]
@@ -291,10 +301,17 @@ def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
         dtype = np.dtype(complex)
     ys = np.zeros((n + 2 * order + 1,) + rhs.shape, dtype=dtype)
     vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=dtype)
-    ys[n] = rhs
+    ys[n] = rhs if start is None else np.where(start == 0, rhs, 0)
     for c in range(1, 2 * order + 1):
-        vs[c - 1] = m @ ys[n + c - 1 - k, rows]
+        if dtype.kind == "O":
+            # exact entries: only the rows that step c - 1 + k_i <= 2 order reads
+            live = k <= 2 * order + 1 - c
+            vs[c - 1][live] = m[live] @ ys[n + c - 1 - k, rows]
+        else:
+            vs[c - 1] = m @ ys[n + c - 1 - k, rows]
         ys[n + c] = vs[np.maximum(c - k, 0), rows]
+        if start is not None:
+            ys[n + c] += np.where(start == c, rhs, 0)
     return ys[n:].sum(axis=0)
 
 
@@ -313,15 +330,16 @@ def _chequered_walks(a1: np.ndarray, a2: np.ndarray, order: int):
 
 
 def _rho_walks(r: np.ndarray, beta: np.ndarray, bbar: np.ndarray,
-               order: int | None = None):
+               order: int | None = None, start=None):
     """g = (I-R)^-1 u (u the sum of the unit vectors at k = 1), z =
     (I-R)^-1 beta_bar and Omega's readouts (u.g, beta.g, beta.z); with
-    ``order`` given, (I-R)^-1 is the walk sum truncated at that order."""
+    ``order`` given, (I-R)^-1 is the walk sum truncated at that order, its
+    columns (u, beta_bar) entering at ``start`` as in ``_walk_sum``."""
     n = len(r) // 2
     rhs = np.zeros((2 * n, 2), dtype=np.result_type(r, bbar))
     rhs[0, 0] = rhs[n, 0] = 1
     rhs[:, 1] = bbar
-    sol = solve_id_minus(r, rhs) if order is None else neumann_id_minus(r, rhs, order)
+    sol = solve_id_minus(r, rhs) if order is None else _walk_sum(r, rhs, order, start)
     g, z = sol[:, 0], sol[:, 1]
     return g, z, (g[0] + g[n], beta @ g, beta @ z)
 

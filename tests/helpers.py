@@ -72,6 +72,31 @@ def _laurent_reference(k, z, dmin, eis, tol):
     raise ToleranceError(f"P_{k} Laurent series not certified", achieved=t_next)
 
 
+def laurent_weight_reference(k: int, az: float, dmin: float, tol) -> int:
+    """``elliptic._laurent_weight`` by a linear scan over the weights: the
+    first whose tail bound is below abs_tol, _LAURENT_MAX_WEIGHT + 1 past
+    the cap or once the bound leaves the double range."""
+    r = az / dmin
+    kk = k - 1
+    try:
+        for w in range(max(2, k), elliptic._LAURENT_MAX_WEIGHT + 1):
+            if k == 1:
+                bound = elliptic._EISEN_LATTICE_BOUND * r ** (w + 1) / dmin / (1.0 - r)
+            else:
+                # term_(l+1) bound at l = w - kk, once the ratio is below 1
+                l = w - kk
+                rho = r * (kk + l + 1) / (l + 1)
+                if not rho < 1.0:
+                    continue
+                bound = (elliptic._comb_ratio(kk, l + 1) / kk * elliptic._EISEN_LATTICE_BOUND
+                         * dmin ** (-(kk + l + 1)) * az**l) / (1.0 - rho)
+            if bound < tol.abs_tol:
+                return w
+    except OverflowError:
+        pass
+    return elliptic._LAURENT_MAX_WEIGHT + 1
+
+
 def doubling_bounds(kmax: int) -> list[int]:
     """The E_k table weights ``weierstrass_reference`` tries, in order."""
     bounds = []

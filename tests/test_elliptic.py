@@ -35,7 +35,8 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import doubling_bounds, head_polys_reference, weierstrass_reference
+from helpers import (doubling_bounds, head_polys_reference, laurent_weight_reference,
+                     weierstrass_reference)
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -444,6 +445,30 @@ class TestCertificateFirstRoute:
         t = elliptic.Torus(tau)
         t.weierstrass(48, 0.38 * t.dmin * cmath.exp(0.3j))
         assert len(t._eis) - 1 == 130
+
+    def test_search_matches_linear_scan(self):
+        # seeded grid: fundamental-domain, skewed and thin tori (D < 0.16,
+        # where the bound leaves the double range before the cap), |z|/D up
+        # to just under 1/2, k from 1, and no guess, P_(k-1)'s weight (as
+        # Torus.weierstrass passes it) or a stray one
+        rng = random.Random(15)
+        tori = [1j, 0.3 + 0.2j, 0.05j, 0.02j, 0.013 + 0.02j, 0.5 + 0.05j]
+        tori += [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.02, 1.5)) for _ in range(6)]
+        ratios = [0.005, 0.3, 0.45, 0.49, 0.499, 0.4999] + [rng.uniform(0.0, 0.5) for _ in range(4)]
+        weights, overflowed = set(), False
+        for tau in tori:
+            dmin = lattice_min(tau)
+            for r in ratios:
+                az, last = r * dmin, None
+                for k in [1, 2, 3] + sorted(rng.sample(range(4, 61), 8)):
+                    want = laurent_weight_reference(k, az, dmin, elliptic.DEFAULT_TOL)
+                    for guess in (None, last, rng.randint(0, 400)):
+                        assert elliptic._laurent_weight(k, az, dmin, elliptic.DEFAULT_TOL,
+                                                        guess) == want
+                    last = want
+                    weights.add(want)
+                    overflowed |= elliptic._laurent_tail(k, 384, az, dmin) == math.inf
+        assert overflowed and 385 in weights and len(weights) > 50
 
     @pytest.mark.parametrize("tau, r, weight, built", [
         (0.05j, 0.49, 384, 384), (0.05j, 0.499, 385, 1), (0.02j, 0.45, 385, 1)])

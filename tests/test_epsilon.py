@@ -32,6 +32,8 @@ from g2sew import (
     invert_eps,
     lattice_min,
     necklace_period_eps,
+    necklace_period_rho,
+    neumann_id_minus,
     period_matrix_eps,
     prime_form,
     s_nk,
@@ -309,10 +311,16 @@ class TestGroupAction:
     lambda: symbolic_period_eps(11),
     lambda: symbolic_period_rho(6),
     lambda: symbolic_period_eps(2.5),
+    lambda: symbolic_period_eps(True),
+    lambda: symbolic_period_rho(True),
+    lambda: necklace_period_eps(EpsPoint(1j, 2j, 0.1), False),
+    lambda: necklace_period_rho(RhoPoint(1j, 1 + 0.8j, 0.01), True),
+    lambda: neumann_id_minus(np.zeros((4, 4)), np.zeros(4), False),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
         "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
         "s-nk-no-terms", "s-nk-negative-terms", "eps-series-past-cap",
-        "rho-series-past-cap", "eps-series-non-integral"])
+        "rho-series-past-cap", "eps-series-non-integral", "eps-series-true",
+        "rho-series-true", "necklace-eps-false", "necklace-rho-true", "walk-sum-false"])
 def test_outside_input_raises_typed_error(make):
     with pytest.raises(InvalidArgumentError):
         make()

@@ -4,8 +4,10 @@ swap symmetry, numeric consistency, evaluation."""
 import cmath
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from g2sew import (
     symbolic_period_rho,
     weierstrass_p,
 )
+from g2sew import formal
 from g2sew.lattice import TWO_PI_I
 from helpers import symbolic_reference
 
@@ -206,6 +209,50 @@ def test_every_supported_order_matches_reference(formalism, orders):
     for order in orders:
         got = [s.terms for s in fn(order)]
         assert got == [s.terms for s in symbolic_reference(formalism, order)], order
+
+
+class TestSeriesTable:
+    """Each supported order is built once per process and shared read-only."""
+
+    def test_repeat_call_returns_the_same_object(self):
+        assert symbolic_period_eps(6) is symbolic_period_eps(6)
+        assert symbolic_period_rho(3) is symbolic_period_rho(3)
+
+    def test_shared_series_are_read_only(self):
+        s = symbolic_period_eps(4)[0]
+        key = next(iter(s.terms))
+        with pytest.raises(TypeError):
+            s.terms[key] = Fraction(0)
+        with pytest.raises(AttributeError):
+            s.terms = {}
+        assert s == symbolic_period_eps(4)[0] == pickle.loads(pickle.dumps(s))
+
+    def test_racing_first_builds_share_one_build(self, monkeypatch):
+        # cold start; four threads ask for the same order at once while the
+        # interpreter switches threads as often as it can
+        monkeypatch.setattr(formal, "_series_table", {})
+        ready = threading.Barrier(4)
+        got = [None] * 4
+
+        def build(i):
+            ready.wait(timeout=60)
+            got[i] = symbolic_period_rho(5)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        want = [s.terms for s in symbolic_reference("rho", 5)]
+        for series in got:
+            assert series is got[0]
+            assert [s.terms for s in series] == want
 
 
 class TestAppendixRho:
