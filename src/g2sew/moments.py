@@ -303,12 +303,7 @@ def _walk_sum(m: np.ndarray, rhs: np.ndarray, order: int, start=None) -> np.ndar
     vs = np.zeros((2 * order + 1,) + rhs.shape, dtype=dtype)
     ys[n] = rhs if start is None else np.where(start == 0, rhs, 0)
     for c in range(1, 2 * order + 1):
-        if dtype.kind == "O":
-            # exact entries: only the rows that step c - 1 + k_i <= 2 order reads
-            live = k <= 2 * order + 1 - c
-            vs[c - 1][live] = m[live] @ ys[n + c - 1 - k, rows]
-        else:
-            vs[c - 1] = m @ ys[n + c - 1 - k, rows]
+        vs[c - 1] = m @ ys[n + c - 1 - k, rows]
         ys[n + c] = vs[np.maximum(c - k, 0), rows]
         if start is not None:
             ys[n + c] += np.where(start == c, rhs, 0)
