@@ -1,6 +1,8 @@
 """Eisenstein series, Weierstrass-type functions P_k, the elliptic prime
 form, Dedekind eta, and the C/D moment coefficients.  ``Torus`` holds the
-series of one tau; the module-level functions each read a fresh one.
+series of one tau; the module-level functions each read a fresh one.  The
+only state shared across calls is the Bernoulli table; the q_z route's
+heads come from the Riccati law of coth(z/2) per call (``_coth_heads``).
 
 Conventions: the lattice is Lambda_tau = Z*2pi*i*tau + Z*2pi*i, q = exp(2pi*i*tau),
 and the Eisenstein normalization is E_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n
@@ -37,9 +39,10 @@ from .lattice import (
 # certificates of z-Laurent series (lattice-sum comparison, j >= 2).
 _EISEN_LATTICE_BOUND = 40.0
 
-# Largest weight of the Eisenstein table behind the Laurent route of P_k.
-# From k of about 386 on, the constant term 2 (2pi)^-k of E_k leaves the
-# normal double range, so the table stops there and the q_z route takes over.
+# Largest weight of the Eisenstein table behind the Laurent route of P_k and
+# the series route of the prime form.  From k of about 386 on, the constant
+# term 2 (2pi)^-k of E_k leaves the normal double range, so the table stops
+# there: the q_z route of P_k takes over, and the prime form's series raises.
 _LAURENT_MAX_WEIGHT = 384
 
 
@@ -198,52 +201,24 @@ def d_coeff(k: int, l: int, tau: complex, z: complex, tol: SeriesTolerance = DEF
     return (-1) ** (k + 1) * _comb_ratio(k, l) * weierstrass_p(k + l, tau, z, tol)
 
 
-def _next_head_poly(prev: tuple[tuple[int, Fraction], ...],
-                    m: int) -> tuple[tuple[int, Fraction], ...]:
-    """p_(m+1) from p_m by p_(m+1) = -(1/m) p_m'(c) (1-c^2)/2, the same
-    derivative chain that generates P_(m+1) from P_m; both as (exponent,
-    coefficient) pairs in order of first appearance."""
-    nxt: dict[int, Fraction] = {}
-    for e, co in prev:
-        if e == 0:
-            continue
-        d = co * e
-        nxt[e - 1] = nxt.get(e - 1, Fraction(0)) - d / (2 * m)
-        nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + d / (2 * m)
-    return tuple(nxt.items())
+def _coth_heads(z: complex, kmax: int) -> list[complex]:
+    """[h_0..h_kmax](z), h_0 slot unused (0j), h_k(z) = sum_{n in Z} "1/(z-2pi*i*n)^k".
+
+    h_1 = coth(z/2)/2 solves the Riccati equation h_1' = 1/4 - h_1^2, and
+    h_(k+1) = -(1/k) h_k', so h_2 = h_1^2 - 1/4 and
+    (k-1) h_k = sum_(a+b=k; a,b>=1) h_a h_b for k >= 3.
+    """
+    h1 = 0.5 * (1.0 / cmath.tanh(z / 2.0))
+    heads = [0j, h1, h1 * h1 - 0.25]
+    for k in range(3, kmax + 1):
+        heads.append(sum(heads[a] * heads[k - a] for a in range(1, k)) / (k - 1))
+    return heads[:kmax + 1]
 
 
-# [p_0..p_K] as (exponent, float coefficient) pairs for the largest K asked
-# for so far, and p_K exactly, from which the next extension starts.  Both
-# are rebound under the lock, like the Bernoulli table.
-_head_table: tuple[tuple[tuple[int, float], ...], ...] = ((), ((1, 0.5),))
-_head_top: tuple[tuple[int, Fraction], ...] = ((1, Fraction(1, 2)),)
-_head_lock = threading.Lock()
-
-
-def _head_polys(kmax: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Polynomials p_k(c) with p_k(coth(z/2)) = sum_{n in Z} "1/(z-2pi*i*n)^k",
-    for k = 0..kmax at least, memoised per process.  p_1 = c/2; each later
-    p_k is built once, in exact arithmetic, and kept as float(coefficient)."""
-    global _head_table, _head_top
-    table = _head_table
-    if len(table) <= kmax:
-        with _head_lock:
-            polys = list(_head_table)
-            top = _head_top
-            for m in range(len(polys) - 1, kmax):
-                top = _next_head_poly(top, m)
-                polys.append(tuple((e, float(co)) for e, co in top))
-            _head_top = top
-            _head_table = table = tuple(polys)
-    return table
-
-
-def _p_qz_route(k: int, q: complex, z: complex, head_poly: tuple[tuple[int, float], ...],
+def _p_qz_route(k: int, q: complex, z: complex, head: complex,
                 tol: SeriesTolerance, a_coeff: float) -> complex:
-    """P_k via the exponential-coordinate series; needs |a_coeff| < 1."""
-    c = 1.0 / cmath.tanh(z / 2.0)
-    head = sum(co * c**e for e, co in head_poly)
+    """P_k via the exponential-coordinate series, head h_k(z) from
+    ``_coth_heads``; needs |a_coeff| < 1."""
     aq = abs(q)
     if aq == 0.0:
         return head
@@ -506,7 +481,7 @@ class Torus:
         n_c = round(b)
         z_c = z - TWO_PI_I * (m_c * tau + n_c)
         a_c = a - m_c
-        heads = _head_polys(kmax)
+        heads = _coth_heads(z_c, kmax)
         for k in range(1, kmax + 1):
             out[k] = _p_qz_route(k, self.q, z_c, heads[k], tol, a_c)
         out[1] -= m_c
@@ -533,19 +508,22 @@ class Torus:
             if not abs(z) < dmin:
                 raise InvalidArgumentError(
                     f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
+            # the sum stops before the first even weight past 2 whose tail
+            # bound is below abs_tol; that weight reads r and abs_tol alone
             r = abs(z) / dmin
+            stop = 4
+            while not _EISEN_LATTICE_BOUND * r**stop / (stop * (1.0 - r * r)) < tol.abs_tol:
+                stop += 2
+                if stop - 2 > _LAURENT_MAX_WEIGHT:
+                    raise RangeOverflowError(
+                        f"prime form series at |z|/D = {r:.6g} needs E_k past weight "
+                        f"{_LAURENT_MAX_WEIGHT}; the theta route serves any z")
+            eis = self.eisenstein(stop - 2)
             total = 0j
             zp = z * z
-            k = 2
-            while True:
-                # the table grows one weight at a time, as far as the tail
-                # test reads it
-                total += self.eisenstein(k)[k] / k * zp
+            for k in range(2, stop, 2):
+                total += eis[k] / k * zp
                 zp *= z * z
-                k += 2
-                tail = _EISEN_LATTICE_BOUND * r**k / (k * (1.0 - r * r))
-                if tail < tol.abs_tol:
-                    break
             try:
                 return z * cmath.exp(-total)
             except OverflowError:

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     NearDegenerateError,
+    RangeOverflowError,
     TruncationError,
 )
 
@@ -356,33 +357,6 @@ def x_blocks(a1: MomentMatrix, a2: MomentMatrix):
     return x11, eye - g, -(m2 @ x11), m2 @ g
 
 
-def _lu_log_det(m: np.ndarray) -> tuple[complex, complex]:
-    """Determinant and log-determinant via LU with partial pivoting.
-
-    The log accumulates each pivot's principal argument (plus i*pi per row
-    swap), tracking the winding along the factor sequence.
-    """
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    log_det = 0j
-    det = 1 + 0j
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if abs(a[p, j]) == 0.0:
-            return 0j, complex("-inf")
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            log_det += 1j * math.pi
-            det = -det
-        piv = a[j, j]
-        det *= piv
-        log_det += cmath.log(piv)
-        if j + 1 < n:
-            f = a[j + 1:, j] / piv
-            a[j + 1:, j + 1:] -= np.outer(f, a[j, j + 1:])
-    return det, log_det
-
-
 def _trace_log_series(m: np.ndarray, tol: float = 1e-13, nmax: int = 600):
     """-sum Tr(M^n)/n if it converges; None when divergence is detected."""
     total = 0j
@@ -421,10 +395,20 @@ def truncated_product(a1: MomentMatrix, a2: MomentMatrix, n_eps: int) -> np.ndar
 
 
 def _det_result(t: np.ndarray, truncation_order: int) -> DetResult:
-    det, log_det = _lu_log_det(np.eye(t.shape[0], dtype=complex) - t)
+    """det(I - t) and its log, checked against the trace-log series where
+    that converges.  The log is then the series' branch (continuous from
+    t = 0), reached from the principal one by the nearest multiple of
+    2pi*i; otherwise it is the principal log."""
+    sign, log_abs = np.linalg.slogdet(np.eye(t.shape[0], dtype=complex) - t)
+    try:
+        det = complex(sign) * math.exp(log_abs)  # 0 when singular
+    except OverflowError:
+        raise RangeOverflowError(f"det(I - M) = exp({log_abs:.6g}) overflows") from None
+    log_det = complex(log_abs, cmath.phase(sign))
     series = _trace_log_series(t)
     reconciled = series is not None
     if reconciled:
+        log_det += 2j * math.pi * round((series - log_det).imag / (2 * math.pi))
         scale = max(abs(log_det), 1.0)
         if abs(log_det - series) > 1e-8 * scale:
             raise TruncationError(

@@ -86,9 +86,9 @@ def in_domain_rho(p: RhoPoint) -> DomainCheck:
     D(Lambda_tau) > 2|rho|^(1/2), so that no sewing disc overlaps its own
     lattice translates."""
     require_tau(p.tau)
-    if p.rho == 0:
-        return DomainCheck(False, math.inf)
     bound = min(lattice_distance(p.tau, p.w), lattice_min(p.tau))
+    if p.rho == 0 or bound == 0:
+        return DomainCheck(False, math.inf)
     margin = 2.0 * math.sqrt(abs(p.rho)) / bound
     return DomainCheck(margin < 1.0, margin)
 

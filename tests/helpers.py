@@ -127,15 +127,39 @@ def weierstrass_reference(t, kmax: int, z: complex) -> list[complex]:
                 continue
             out[1] -= m_near
             return out
+    z_c, m_c, a_c = centred_point(tau, z)
+    heads = elliptic._coth_heads(z_c, kmax)
+    for k in range(1, kmax + 1):
+        out[k] = elliptic._p_qz_route(k, t.q, z_c, heads[k], tol, a_c)
+    out[1] -= m_c
+    return out
+
+
+def centred_point(tau: complex, z: complex) -> tuple[complex, int, float]:
+    """(z_c, m_c, a_c): z less the lattice point m_c 2pi*i*tau + n_c 2pi*i
+    that centres it in the original basis, as the q_z route reduces it, and
+    its tau-coordinate a_c, |a_c| <= 1/2."""
     u = z / TWO_PI_I
     a = u.imag / tau.imag
     m_c = round(a)
     n_c = round(u.real - a * tau.real)
-    z_c = z - TWO_PI_I * (m_c * tau + n_c)
-    heads = elliptic._head_polys(kmax)
-    for k in range(1, kmax + 1):
-        out[k] = elliptic._p_qz_route(k, t.q, z_c, heads[k], tol, a - m_c)
-    out[1] -= m_c
+    return z - TWO_PI_I * (m_c * tau + n_c), m_c, a - m_c
+
+
+def head_values_reference(c: complex, kmax: int) -> list[complex]:
+    """[h_0..h_kmax] as ``head_polys_reference`` evaluated at the float c in
+    exact rational arithmetic (real and imaginary parts as Fractions), each
+    rounded to a complex once at the end."""
+    cr, ci = Fraction(c.real), Fraction(c.imag)
+    powers = [(Fraction(1), Fraction(0))]
+    for _ in range(kmax + 1):
+        x, y = powers[-1]
+        powers.append((x * cr - y * ci, x * ci + y * cr))
+    out = []
+    for poly in head_polys_reference(kmax):
+        re = sum((co * powers[e][0] for e, co in poly.items()), Fraction(0))
+        im = sum((co * powers[e][1] for e, co in poly.items()), Fraction(0))
+        out.append(complex(float(re), float(im)))
     return out
 
 

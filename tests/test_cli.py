@@ -140,9 +140,9 @@ class TestExitCodes:
                      "--eps", "50"]) == 2
 
     def test_rho_domain_rejection_is_2(self, capsys):
-        assert main(["period-rho", "--tau", "i", "--w", "1+0.8i",
-                     "--rho", "5"]) == 2
-        assert "outside D^rho" in capsys.readouterr().err
+        for w, rho in (("1+0.8i", "5"), ("0", "0.01")):  # too large; w on the lattice
+            assert main(["period-rho", "--tau", "i", "--w", w, "--rho", rho]) == 2
+            assert "outside D^rho" in capsys.readouterr().err
 
     def test_parse_error_is_1(self, capsys):
         assert main(["period-eps", "--tau1", "bogus", "--tau2", "i",

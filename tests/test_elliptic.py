@@ -35,8 +35,8 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import (doubling_bounds, head_polys_reference, laurent_weight_reference,
-                     weierstrass_reference)
+from helpers import (centred_point, doubling_bounds, head_values_reference,
+                     laurent_weight_reference, weierstrass_reference)
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -484,17 +484,6 @@ class TestCertificateFirstRoute:
         assert len(t._eis) - 1 == built
 
 
-def float_heads(exact):
-    """Exact head polynomials as the float table holds them."""
-    return tuple(tuple((e, float(co)) for e, co in poly.items()) for poly in exact)
-
-
-def cold_heads(monkeypatch):
-    """Reset the head table to p_0, p_1 for the length of one test."""
-    monkeypatch.setattr(elliptic, "_head_table", ((), ((1, 0.5),)))
-    monkeypatch.setattr(elliptic, "_head_top", ((1, Fraction(1, 2)),))
-
-
 def qz_points(seed, count):
     """Seeded (tau, w) pairs, half on skewed tori, whose P_k take the q_z route."""
     rng = random.Random(seed)
@@ -510,76 +499,21 @@ def qz_points(seed, count):
     return points
 
 
-class TestHeadTable:
-    """The q_z route's head polynomials p_k are one float table per process."""
+class TestCothHeads:
+    """The q_z route's heads h_k(z_c) = sum_n "1/(z_c-2pi*i*n)^k" come from
+    the Riccati law of h_1 = coth(z_c/2)/2, in floats, per call."""
 
-    def test_each_coefficient_is_the_float_of_the_exact_one(self):
-        want = float_heads(head_polys_reference(100))
-        got = elliptic._head_polys(100)
-        assert got[:101] == want
-        assert all(type(co) is float for poly in got for _, co in poly)
-
-    def test_growth_ends_where_one_cold_build_does(self, monkeypatch, count_calls):
-        counts = count_calls("_next_head_poly")
-        cold_heads(monkeypatch)
-        for kmax in (26, 50, 100):
-            elliptic._head_polys(kmax)
-        grown = (elliptic._head_table, elliptic._head_top)
-        assert counts == {"_next_head_poly": 99}  # p_2..p_100, each once
-        cold_heads(monkeypatch)
-        elliptic._head_polys(100)
-        assert (elliptic._head_table, elliptic._head_top) == grown
-        assert len(grown[0]) == 101
-        assert grown[1] == tuple(head_polys_reference(100)[100].items())
-
-    def test_table_is_complete_and_unshared_under_threads(self, monkeypatch):
-        # cold start; each thread extends the table to its own sizes while
-        # the interpreter switches threads as often as it can
-        cold_heads(monkeypatch)
-        sizes = [[3 * (i + 1) + 12 * r for r in range(6)] for i in range(8)]
-        want = float_heads(head_polys_reference(max(map(max, sizes))))
-        bad = []
-
-        def work(mine):
-            for kmax in mine:
-                table = elliptic._head_polys(kmax)
-                if table != want[:len(table)] or len(table) <= kmax:
-                    bad.append(kmax)
-
-        threads = [threading.Thread(target=work, args=(s,)) for s in sizes]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert bad == []
-        assert elliptic._head_table == want
-
-    def test_a_second_torus_builds_nothing(self, count_calls):
-        z = 2.9 + 1.1j
-        weierstrass_range(50, 0.3 + 0.9j, z)
-        counts = count_calls("_next_head_poly")
-        tau = 0.4 + 0.8j
-        assert abs(reduce_mod_lattice(tau, z)[0]) >= 0.5 * lattice_min(tau)  # q_z route
-        weierstrass_range(50, tau, z)
-        assert counts == {"_next_head_poly": 0}
-
-    def test_outputs_equal_an_exact_rebuild_per_call(self, monkeypatch):
-        # the table, grown from cold across tori, against the exact heads
-        # rebuilt on every call
-        cold_heads(monkeypatch)
-        points = qz_points(7, 12)
-        kmaxes = [24, 50, 12, 60] * 3
-        got = [repr(weierstrass_range(k, tau, w)) for k, (tau, w) in zip(kmaxes, points)]
-        monkeypatch.setattr(elliptic, "_head_polys",
-                            lambda kmax: float_heads(head_polys_reference(kmax)))
-        want = [repr(weierstrass_range(k, tau, w)) for k, (tau, w) in zip(kmaxes, points)]
-        assert got == want
+    def test_relative_to_the_exact_polynomials_at_the_same_c(self):
+        # centred q_z points, half on skewed tori, where |Re z_c| reaches
+        # about 4 and p_k(c) evaluated in floats loses every digit
+        worst = 0.0
+        for tau, w in qz_points(7, 12):
+            z_c = centred_point(tau, w)[0]
+            want = head_values_reference(1.0 / cmath.tanh(z_c / 2.0), 60)
+            got = elliptic._coth_heads(z_c, 60)
+            assert len(got) == 61
+            worst = max(worst, max(abs(g - h) / abs(h) for g, h in zip(got[1:], want[1:])))
+        assert worst < 1e-12
 
 
 class TestPrimeForm:
@@ -624,12 +558,14 @@ class TestPrimeForm:
         assert counts == {"eisenstein_q": 10}
 
     def test_series_route_overflow_is_typed(self):
-        # near its radius on a skewed torus the series' exponent leaves the
-        # double range; the theta route gives -1.42+1.58i there
-        tau = 0.2 + 0.4j
-        z = 0.95 * lattice_min(tau) * cmath.exp(2.1j)
-        with pytest.raises(RangeOverflowError):
-            prime_form(tau, z, route="series")
+        # near its radius the series reads E_k past the table's cap (weight
+        # about 620 at 0.95 D): on a skewed torus its exponent would leave
+        # the double range, at tau = i E_k underflows while z^k overflows
+        # (NaN); the theta route gives -1.42+1.58i and -4.90+10.22i there
+        for tau, arg in ((0.2 + 0.4j, 2.1), (1j, 0.7)):
+            z = 0.95 * lattice_min(tau) * cmath.exp(arg * 1j)
+            with pytest.raises(RangeOverflowError):
+                prime_form(tau, z, route="series")
 
     def test_series_route_radius_guard(self):
         with pytest.raises(InvalidArgumentError):

@@ -9,6 +9,7 @@ import pytest
 from g2sew import (
     InvalidArgumentError,
     NearDegenerateError,
+    RangeOverflowError,
     a_matrix,
     beta_vector,
     det_id_minus,
@@ -200,6 +201,18 @@ class TestDeterminants:
         res = det_id_minus_product(a1, a2)
         assert res.reconciled
         assert abs(cmath.exp(res.log_det) - res.det) < 1e-10 * abs(res.det)
+
+    def test_log_det_on_the_series_branch_across_a_row_swap(self):
+        # pivoting swaps the rows of I - R; the trace-log series converges
+        # to log 0.25, and the log det must sit on its branch, not 2pi*i off
+        res = det_id_minus(BlockMomentMatrix(1, np.array([[0.5, 0], [5, 0.5]], dtype=complex)))
+        assert res.reconciled
+        assert abs(res.det - 0.25) < 1e-15
+        assert abs(res.log_det - math.log(0.25)) < 1e-12
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(RangeOverflowError):
+            det_id_minus(BlockMomentMatrix(1, np.diag([1e200, 1e200]).astype(complex)))
 
     def test_det_q_block_identity(self):
         # det(I +- Q) = det(I - A1 A2)

@@ -74,6 +74,11 @@ class TestDomain:
     def test_rho_zero_rejected(self):
         assert not in_domain_rho(RhoPoint(1j, 1j * math.pi, 0.0)).ok
 
+    def test_puncture_on_the_lattice_rejected(self):
+        for w in (0, 2j * math.pi, 2j * math.pi * (1 + 1j)):
+            chk = in_domain_rho(RhoPoint(1j, w, 0.01))
+            assert not chk.ok and chk.margin == math.inf
+
     def test_disc_overlapping_its_lattice_translates_rejected(self):
         # dist(w, lattice) > 2|rho|^(1/2), but the lattice minimum D is not:
         # the truncated solve would return Im Omega not positive definite
