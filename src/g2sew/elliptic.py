@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .lattice import (
     lattice_basis,
     lattice_min,
     reduce_mod_lattice,
+    require_order,
     require_tau,
 )
 
@@ -45,6 +47,9 @@ _EISEN_LATTICE_BOUND = 40.0
 # there: the q_z route of P_k takes over, and the prime form's series raises.
 _LAURENT_MAX_WEIGHT = 384
 
+# a series whose bound passes exp(_LOG_DOUBLE_MAX) leaves the double range
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class SeriesTolerance:
@@ -56,11 +61,36 @@ class SeriesTolerance:
     def __post_init__(self):
         if not (self.abs_tol > 0.0):
             raise InvalidArgumentError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise InvalidArgumentError("max_terms must be >= 1")
+        require_order(self.max_terms, "max_terms", 1)
 
 
 DEFAULT_TOL = SeriesTolerance()
+
+
+def _first_passing(passes, lo: int, cap: int, guess: int | None = None) -> int:
+    """The least index in lo..cap where the tail test ``passes`` holds (once
+    it holds, it holds at every later index), or cap + 1: every series names
+    its stop by it before it sums.  Gallops up from lo, or from ``guess``
+    where guess - 1 fails, then bisects; any guess gives the same index."""
+    hi = cap + 1  # the least index known to pass, or cap + 1
+    if guess is not None and lo < guess <= hi:
+        if passes(guess - 1):
+            hi = guess - 1
+        else:
+            lo = guess
+    probe, step = lo, 1
+    while probe < hi:
+        if passes(probe):
+            hi = probe
+        else:
+            lo, probe, step = probe + 1, probe + 1 + step, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 # [B_0..B_K] for the largest K asked for so far.  Extensions are built under
@@ -111,13 +141,13 @@ def _sigma(k: int, n: int) -> int:
 def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """E_k evaluated directly from the nome q, |q| < 1.
 
-    The q-series tail is certified below abs_tol * min(1, |B_k|/k!): E_k is
-    of that order, ~ 2/(2pi)^k, so downstream z^k amplification meets the
-    tolerance in relative terms too.  The test runs in log space, where that
-    anchor cannot underflow at high weight.
+    The sum stops at the first term past which the q-series tail is
+    certified below abs_tol * min(1, |B_k|/k!): E_k is of that order,
+    ~ 2/(2pi)^k, so downstream z^k amplification meets the tolerance in
+    relative terms too.  The test runs in log space, where that anchor
+    cannot underflow at high weight.
     """
-    if k < 2:
-        raise InvalidArgumentError(f"eisenstein requires k >= 2, got {k}")
+    require_order(k, "k", 2)
     if k % 2 == 1:
         return 0j
     q = complex(q)
@@ -131,16 +161,32 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     log_const = (math.log(abs(bk.numerator)) - math.log(bk.denominator)
                  - math.lgamma(k + 1))
     log_goal = math.log(tol.abs_tol) + min(0.0, log_const)
-    fact = math.factorial(k - 1)
-    # sigma_{k-1}(n) <= n^k, so the tail is dominated by the geometric-ish
-    # series u_m = (2/(k-1)!) m^k |q|^m once u_{m+1}/u_m < 1
+    # sigma_{k-1}(n) <= n^k, so the tail past term n is dominated by the
+    # geometric-ish series u_m = (2/(k-1)!) m^k |q|^m once u_(m+1)/u_m < 1
     log_pref = math.log(2.0) - math.lgamma(k)
     log_aq = math.log(aq)
+
+    def certified(n: int) -> bool:
+        rho = aq * ((n + 2) / (n + 1)) ** k
+        return rho < 1.0 and (log_pref + k * math.log(n + 1) + (n + 1) * log_aq
+                              < log_goal + math.log1p(-rho))
+
+    # no n below first passes, since passing needs (n+1) log|q| below
+    # log_goal - log_pref - k log 2 (k log(n+1) >= k log 2, log1p(-rho) <= 0);
+    # one index is spare for rounding
+    first = max(1, math.floor((log_goal - log_pref - k * math.log(2.0)) / log_aq) - 1)
+    fact = math.factorial(k - 1)
     log_q = cmath.log(q)
     total = 0j
     qn = 1 + 0j
     try:
-        for n in range(1, tol.max_terms + 1):
+        stop = _first_passing(certified, first, tol.max_terms)
+        if stop > tol.max_terms:
+            log_achieved = log_pref + k * math.log(tol.max_terms) + tol.max_terms * log_aq
+            raise ToleranceError(
+                f"E_{k} q-series not certified within {tol.max_terms} terms",
+                achieved=math.exp(min(log_achieved, 700.0)))
+        for n in range(1, stop + 1):
             qn *= q
             sigma = _sigma(k - 1, n)
             try:
@@ -151,17 +197,9 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
                 total += cmath.exp(math.log(2 * sigma) - math.lgamma(k) + n * log_q)
             else:
                 total += c * qn
-            log_u = log_pref + k * math.log(n + 1) + (n + 1) * log_aq
-            rho = aq * ((n + 2) / (n + 1)) ** k
-            if rho < 1.0 and log_u < log_goal + math.log1p(-rho):
-                return const + total
     except OverflowError:
-        raise RangeOverflowError(
-            f"E_{k} q-series coefficient {n} overflows the double range") from None
-    log_achieved = log_pref + k * math.log(tol.max_terms) + tol.max_terms * log_aq
-    raise ToleranceError(
-        f"E_{k} q-series not certified within {tol.max_terms} terms",
-        achieved=math.exp(min(log_achieved, 700.0)))
+        raise RangeOverflowError(f"E_{k} q-series leaves the double range") from None
+    return const + total
 
 
 def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
@@ -187,8 +225,8 @@ def _comb_ratio(k: int, l: int) -> float:
 
 def c_coeff(k: int, l: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Moment coefficient C(k,l,tau); symmetric in (k,l)."""
-    if k < 1 or l < 1:
-        raise InvalidArgumentError("c_coeff requires k,l >= 1")
+    require_order(k, "k", 1)
+    require_order(l, "l", 1)
     if (k + l) % 2 == 1:
         return 0j
     return (-1) ** (k + 1) * _comb_ratio(k, l) * eisenstein(k + l, tau, tol)
@@ -196,8 +234,8 @@ def c_coeff(k: int, l: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) ->
 
 def d_coeff(k: int, l: int, tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Moment coefficient D(k,l,tau,z) = combinatorial factor * P_{k+l}(tau,z)."""
-    if k < 1 or l < 1:
-        raise InvalidArgumentError("d_coeff requires k,l >= 1")
+    require_order(k, "k", 1)
+    require_order(l, "l", 1)
     return (-1) ** (k + 1) * _comb_ratio(k, l) * weierstrass_p(k + l, tau, z, tol)
 
 
@@ -225,28 +263,42 @@ def _p_qz_route(k: int, q: complex, z: complex, head: complex,
     r_decay = aq ** (1.0 - abs(a_coeff))
     if not r_decay < 1.0:
         raise ToleranceError("q_z series diverges at |a| >= 1", achieved=math.inf)
-    qz = cmath.exp(z)
     sgn = (-1) ** k
-    pref = 1.0 / math.factorial(k - 1)
+
+    def certified(n: int) -> bool:
+        # the terms past n are dominated by pref 2 m^(k-1) r_decay^m / (1 - |q|),
+        # m > n, whose ratio is below rho; the search may test an n whose
+        # (n+1)^(k-1) leaves the double range, where the bound is read in logs
+        rho = r_decay * ((n + 2) / (n + 1)) ** (k - 1)
+        if not rho < 1.0:
+            return False
+        try:
+            return (pref * (n + 1) ** (k - 1) * 2.0 * r_decay ** (n + 1)
+                    / (1.0 - aq) / (1.0 - rho) < tol.abs_tol)
+        except OverflowError:
+            return (math.log(2.0 * pref / (1.0 - aq) / (1.0 - rho)) + (k - 1) * math.log(n + 1)
+                    + (n + 1) * math.log(r_decay) < math.log(tol.abs_tol))
+
+    qz = cmath.exp(z)
     total = 0j
     qn = 1 + 0j
     qzn = 1 + 0j
     qzi = 1 + 0j
-    for n in range(1, tol.max_terms + 1):
-        qn *= q
-        qzn *= qz
-        qzi /= qz
-        total += n ** (k - 1) * qn / (1.0 - qn) * (qzn + sgn * qzi)
-        u_next = (
-            pref * (n + 1) ** (k - 1) * 2.0 * r_decay ** (n + 1) / (1.0 - aq)
-        )
-        rho = r_decay * ((n + 2) / (n + 1)) ** (k - 1)
-        if rho < 1.0 and u_next / (1.0 - rho) < tol.abs_tol:
-            return head + sgn * pref * total
-    raise ToleranceError(
-        f"P_{k} q_z-series not certified within {tol.max_terms} terms",
-        achieved=pref * 2.0 * r_decay**tol.max_terms / (1.0 - aq),
-    )
+    try:
+        pref = 1.0 / math.factorial(k - 1)
+        stop = _first_passing(certified, 1, tol.max_terms)
+        if stop > tol.max_terms:
+            raise ToleranceError(
+                f"P_{k} q_z-series not certified within {tol.max_terms} terms",
+                achieved=pref * 2.0 * r_decay**tol.max_terms / (1.0 - aq))
+        for n in range(1, stop + 1):
+            qn *= q
+            qzn *= qz
+            qzi /= qz
+            total += n ** (k - 1) * qn / (1.0 - qn) * (qzn + sgn * qzi)
+    except OverflowError:
+        raise RangeOverflowError(f"P_{k} q_z-series leaves the double range") from None
+    return head + sgn * pref * total
 
 
 def _laurent_tail(k: int, w: int, az: float, dmin: float) -> float:
@@ -276,37 +328,21 @@ def _laurent_weight(k: int, az: float, dmin: float, tol: SeriesTolerance,
 
     Once the ratio r (w+1)/(w-k+2) of the tail's terms is below 1 it stays
     so, and the bound falls with w, by at least that ratio a step; the
-    range is left past some weight and not before it.  So the first weight
-    whose bound is not above abs_tol is found by a search that gallops up
-    and then bisects, in O(log) bounds.  It starts from ``guess`` when that
-    is given (P_(k-1)'s weight, which P_k's is at or just above), so most
-    searches read two or three bounds; any guess gives the same weight."""
+    range is left past some weight and not before it.  So "the ratio is
+    below 1 and the bound not above abs_tol" is a tail test for
+    ``_first_passing``, searched from ``guess`` when that is given
+    (P_(k-1)'s weight, which P_k's is at or just above)."""
     r = az / dmin
-    lo = max(2, k)
-    while k > 1 and lo <= _LAURENT_MAX_WEIGHT and not r * (lo + 1) / (lo - k + 2) < 1.0:
-        lo += 1
-    # no weight below lo is the answer; hi is the least weight found not
-    # above abs_tol, with its bound, or the cap + 1
-    hi, hi_bound = _LAURENT_MAX_WEIGHT + 1, math.inf
+    bounds = {}
 
-    def above(w: int) -> bool:
-        nonlocal hi, hi_bound
-        bound = _laurent_tail(k, w, az, dmin)
-        if tol.abs_tol <= bound < math.inf:
-            return True
-        hi, hi_bound = w, bound
-        return False
+    def not_above(w: int) -> bool:
+        if k > 1 and not r * (w + 1) / (w - k + 2) < 1.0:
+            return False
+        bounds[w] = _laurent_tail(k, w, az, dmin)
+        return not tol.abs_tol <= bounds[w] < math.inf
 
-    if guess is not None and lo < guess <= hi and above(guess - 1):
-        lo = guess
-    probe, step = lo, 1
-    while probe < hi and above(probe):
-        lo, probe, step = probe + 1, probe + 1 + step, 2 * step
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if above(mid):
-            lo = mid + 1
-    return hi if hi_bound < tol.abs_tol else _LAURENT_MAX_WEIGHT + 1
+    weight = _first_passing(not_above, max(2, k), _LAURENT_MAX_WEIGHT, guess)
+    return weight if bounds.get(weight, math.inf) < tol.abs_tol else _LAURENT_MAX_WEIGHT + 1
 
 
 def _p_laurent_route(k: int, z: complex, eis: list[complex], weight: int) -> complex:
@@ -357,54 +393,64 @@ def _log_prime_form_dtau(p1: complex, p2: complex, e2: complex) -> complex:
 
 
 def dedekind_eta(tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Dedekind eta, q^(1/24) prod (1-q^n), principal 24th root."""
+    """Dedekind eta, q^(1/24) prod (1-q^n), principal 24th root; the product
+    stops where |q|^(n+1)/(1-|q|)^2 bounds the rest below abs_tol."""
     tau = require_tau(tau)
     q24 = cmath.exp(TWO_PI_I * tau / 24.0)
     q = cmath.exp(TWO_PI_I * tau)
     aq = abs(q)
+    stop = _first_passing(lambda n: aq ** (n + 1) / (1.0 - aq) ** 2 < tol.abs_tol,
+                          1, tol.max_terms)
+    if stop > tol.max_terms:
+        raise ToleranceError("eta product not certified",
+                             achieved=aq ** (tol.max_terms + 1) / (1.0 - aq) ** 2)
     prod = q24
     qn = 1 + 0j
-    for n in range(1, tol.max_terms + 1):
+    for _ in range(stop):
         qn *= q
         prod *= 1.0 - qn
-        tail = aq ** (n + 1) / (1.0 - aq) ** 2
-        if tail < tol.abs_tol:
-            return prod
-    raise ToleranceError("eta product not certified", achieved=tail)
+    return prod
 
 
 def theta1(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Jacobi theta_1 in lattice-scaled coordinates (z in units of Lambda_tau).
 
     theta_1(tau, z) = sum_n exp(pi*i*tau (n+1/2)^2 + (n+1/2)(z + i*pi)).
+
+    |term| = exp(-a h^2 + b h), h = n + 1/2, a = pi Im tau, b = Re z, peaks
+    at h = b/(2a); away from it a term over the last is below exp(-a), so a
+    wing past h sums to at most |term(h)| / (1 - that ratio), and the series
+    to 2 exp(b^2/(4a)) / (1 - exp(-a)), which must stay in the double range.
+    Each wing stops where its tail is below abs_tol/2.
     """
     tau = require_tau(tau)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError(f"z must be finite, got {z}")
+    a, b = math.pi * tau.imag, z.real
+    peak = b / (2.0 * a)
+    if b * peak / 2.0 + math.log(2.0 / -math.expm1(-a)) > _LOG_DOUBLE_MAX:
+        raise RangeOverflowError(
+            f"theta_1 at Re z = {b:.6g} leaves the double range")
+    n0 = round(peak - 0.5)
+    log_goal = math.log(tol.abs_tol / 2.0)
 
-    def term(n: int) -> complex:
+    def log_tail(s: int, j: int) -> float:
+        # the wing s = +1 (n > n0) or -1 (n < n0) past its j-th term, from
+        # the next term at h = s u
+        u = s * (n0 + 0.5) + j + 1
+        return -a * u * u + s * b * u - math.log1p(-math.exp(s * b - a * (2 * u + 1)))
+
+    cap = tol.max_terms // 2
+    hi, lo = (_first_passing(lambda j: log_tail(s, j) < log_goal, 0, cap) for s in (1, -1))
+    if max(hi, lo) > cap:
+        raise ToleranceError("theta_1 series not certified", achieved=math.exp(
+            min(max(log_tail(1, cap), log_tail(-1, cap)), 700.0)))
+    total = 0j
+    for n in range(n0 - lo, n0 + hi + 1):
         h = n + 0.5
-        return cmath.exp(1j * math.pi * tau * h * h + h * (z + 1j * math.pi))
-
-    # peak of |term| sits near n ~ Re(z)/(2 pi Im tau) - 1/2
-    n0 = round(z.real / (2.0 * math.pi * tau.imag) - 0.5)
-    total = term(n0)
-    n_hi, n_lo = n0 + 1, n0 - 1
-    prev_hi, prev_lo = math.inf, math.inf
-    while True:
-        t_hi, t_lo = term(n_hi), term(n_lo)
-        total += t_hi + t_lo
-        a_hi, a_lo = abs(t_hi), abs(t_lo)
-        # Gaussian decay: once terms drop below tol and are decreasing on
-        # both wings the remaining tail is geometrically dominated.
-        if (a_hi < tol.abs_tol and a_lo < tol.abs_tol
-                and a_hi <= prev_hi and a_lo <= prev_lo):
-            return total
-        if n_hi - n_lo > tol.max_terms:
-            raise ToleranceError("theta_1 series not certified",
-                                 achieved=max(a_hi, a_lo))
-        prev_hi, prev_lo = a_hi, a_lo
-        n_hi += 1
-        n_lo -= 1
+        total += cmath.exp(1j * math.pi * tau * h * h + h * (z + 1j * math.pi))
+    return total
 
 
 class Torus:
@@ -433,6 +479,7 @@ class Torus:
 
     def eisenstein(self, kmax: int) -> list[complex]:
         """[E_0..E_kmax], zero at E_0, E_1 and every odd weight, kept and grown on demand."""
+        require_order(kmax, "kmax")
         values = self._eis
         for k in range(len(values), kmax + 1):
             values.append(eisenstein_q(k, self.q, self.tol) if k % 2 == 0 else 0j)
@@ -453,8 +500,7 @@ class Torus:
         P_1 picks up the quasi-period correction -m from the reduction.
         """
         tau, tol = self.tau, self.tol
-        if kmax < 1:
-            raise InvalidArgumentError("weierstrass_range requires kmax >= 1")
+        require_order(kmax, "kmax", 1)
         z = complex(z)
         dmin = self.dmin
         z_near, m_near, _ = reduce_mod_lattice(tau, z, self.basis)
@@ -508,16 +554,18 @@ class Torus:
             if not abs(z) < dmin:
                 raise InvalidArgumentError(
                     f"series route needs |z| < D(Lambda_tau) = {dmin:.6g}, got |z| = {abs(z):.6g}")
-            # the sum stops before the first even weight past 2 whose tail
-            # bound is below abs_tol; that weight reads r and abs_tol alone
+            # the sum stops before the first even weight 2h past 2 whose
+            # tail bound is below abs_tol; that weight reads r and abs_tol alone
             r = abs(z) / dmin
-            stop = 4
-            while not _EISEN_LATTICE_BOUND * r**stop / (stop * (1.0 - r * r)) < tol.abs_tol:
-                stop += 2
-                if stop - 2 > _LAURENT_MAX_WEIGHT:
-                    raise RangeOverflowError(
-                        f"prime form series at |z|/D = {r:.6g} needs E_k past weight "
-                        f"{_LAURENT_MAX_WEIGHT}; the theta route serves any z")
+            cap = _LAURENT_MAX_WEIGHT // 2 + 1
+            half = _first_passing(
+                lambda h: _EISEN_LATTICE_BOUND * r ** (2 * h) / (2 * h * (1.0 - r * r)) < tol.abs_tol,
+                2, cap)
+            if half > cap:
+                raise RangeOverflowError(
+                    f"prime form series at |z|/D = {r:.6g} needs E_k past weight "
+                    f"{_LAURENT_MAX_WEIGHT}; the theta route serves any z")
+            stop = 2 * half
             eis = self.eisenstein(stop - 2)
             total = 0j
             zp = z * z

@@ -12,8 +12,8 @@ import numpy as np
 
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .errors import ConvergenceError, DomainError, InvalidArgumentError
-from .lattice import TWO_PI_I, lattice_min, mobius, require_sl2, require_tau
-from .moments import _a_matrix, _chequered_walks, _require_order, a_matrix, solve_id_minus, x_blocks
+from .lattice import TWO_PI_I, lattice_min, mobius, require_order, require_sl2, require_tau
+from .moments import _a_matrix, _chequered_walks, a_matrix, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
 
 SL2_T = ((1, 1), (0, 1))
@@ -111,6 +111,7 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     d x12(1) = x21.dA1 u2 + u1.dA2 x12,  d u2(1) = u2.dA1 u2 + x12.dA2 x12,
     and d u1(1) is the latter with the labels swapped.
     """
+    require_order(n, "n", 1)
     _require_eps_domain(p)
     t1, t2 = Torus(p.tau1, tol), Torus(p.tau2, tol)
     a1 = _a_matrix(t1.eisenstein(2 * n), p.eps, n, half_power_sign).entries
@@ -156,7 +157,7 @@ def necklace_period_eps(p: EpsPoint, max_eps_order: int,
     Agrees with ``period_matrix_eps`` to O(eps^(max_eps_order+1)).
     """
     _require_eps_domain(p)
-    _require_order(max_eps_order)
+    require_order(max_eps_order, "max_eps_order")
     # interior labels of a chain of exponent <= max_eps_order stay below it
     n = max(1, max_eps_order - 1)
     return _omega_eps(p, *_chequered_walks(a_matrix(p.tau1, p.eps, n, tol).entries,
@@ -175,6 +176,7 @@ def bilinear_form_eps(p: EpsPoint, x: complex, y: complex,
     a, b = which_surface_pair
     if a not in (1, 2) or b not in (1, 2):
         raise InvalidArgumentError("surface labels must be 1 or 2")
+    require_order(n, "n", 1)
     _require_eps_domain(p)
     tori = {1: Torus(p.tau1, tol), 2: Torus(p.tau2, tol)}
     x11, x12, x21, x22 = x_blocks(_a_matrix(tori[1].eisenstein(2 * n), p.eps, n),

@@ -25,7 +25,8 @@ import numpy as np
 
 from .elliptic import _comb
 from .errors import SewingError, UnassignedGeneratorError
-from .moments import _chequered_walks, _require_order
+from .lattice import require_order
+from .moments import _chequered_walks
 from .moments import _rho_pair, _rho_walks, _sks
 
 # generator kinds, in canonical display order
@@ -260,7 +261,7 @@ def symbolic_period_eps(max_order: int = 9):
     and u2, with A_a(k,l) = eps^((k+l)/2) C(k,l)/k.  Each order is built
     once per process and the same read-only series returned to every call.
     """
-    _require_order(max_order, 1, 10)
+    require_order(max_order, "max_order", 1, 10)
     return _series("eps", max_order, _build_eps)
 
 
@@ -284,7 +285,7 @@ def symbolic_period_rho(max_order: int = 4):
     u.g, beta.g and beta.z.  Each order is built once per process and the
     same read-only series returned to every call.
     """
-    _require_order(max_order, 1, 5)
+    require_order(max_order, "max_order", 1, 5)
     return _series("rho", max_order, _build_rho)
 
 

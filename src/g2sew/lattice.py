@@ -32,6 +32,19 @@ def require_sl2(mat) -> None:
         raise InvalidArgumentError(f"matrix {mat!r} must be integer with determinant 1")
 
 
+def require_order(value, name: str, least: float = 0, most: float = math.inf) -> None:
+    """The one check of an order, count or branch: an integer (not a bool) in
+    least..most, made by every entry point that takes one before it sizes
+    or indexes anything by it."""
+    # type(value) is int first: an ABC isinstance test costs more than the
+    # short series that take an order
+    if (not (type(value) is int or isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) or not least <= value <= most):
+        bound = (f" in {least}..{most}" if most < math.inf
+                 else f" >= {least}" if least > -math.inf else "")
+        raise InvalidArgumentError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def lattice_basis(tau: complex) -> tuple[complex, complex]:
     """Standard basis (2*pi*i*tau, 2*pi*i) of Lambda_tau."""
     tau = require_tau(tau)
@@ -73,6 +86,8 @@ def reduce_mod_lattice(tau: complex, z: complex,
     by P_1 and P_0.  ``basis`` is as in ``lattice_min``.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError(f"z must be finite, got {z}")
     v1, v2 = gauss_reduce(*lattice_basis(tau)) if basis is None else basis
     # Solve z = x*v1 + y*v2 over the reals.
     det = v1.real * v2.imag - v1.imag * v2.real

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     RangeOverflowError,
     TruncationError,
 )
+from .lattice import require_order
 
 _SOLVE_RTOL = 1e-12
 
@@ -118,8 +118,9 @@ def _scaling(param: complex, n: int, half_power_sign: int) -> np.ndarray:
     (used by branch-flip invariance checks; all physical outputs carry
     integer powers and are unaffected).
     """
-    if n < 1:
-        raise InvalidArgumentError("order must be >= 1")
+    require_order(n, "n", 1)
+    if not cmath.isfinite(param):
+        raise InvalidArgumentError(f"sewing parameter must be finite, got {param}")
     return (half_power_sign * cmath.sqrt(param)) ** np.arange(1, n + 1)
 
 
@@ -256,16 +257,6 @@ def solve_id_minus(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _require_order(order, least: int = 0, most: float = math.inf) -> None:
-    """The one check of a walk order, an integer (not a bool) in least..most:
-    made by ``neumann_id_minus`` and by every route on it before it sizes a
-    layout."""
-    if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
-            or not least <= order <= most):
-        bound = f"in {least}..{most}" if most < math.inf else f">= {least}"
-        raise InvalidArgumentError(f"order must be an integer {bound}, got {order!r}")
-
-
 def neumann_id_minus(m: np.ndarray, rhs: np.ndarray, order: int) -> np.ndarray:
     """(I - M)^-1 rhs truncated at parameter order ``order``, with no solve.
 
@@ -287,7 +278,7 @@ def _walk_sum(m: np.ndarray, rhs: np.ndarray, order: int, start=None) -> np.ndar
     rhs's shape) each rhs entry enters the recursion at Y_start rather than
     Y_0, for entries that carry the parameter^(start/2) already: a walk
     ending there is kept while its order plus start/2 is <= ``order``."""
-    _require_order(order)
+    require_order(order, "order")
     m, rhs = np.asarray(m), np.asarray(rhs)
     size = m.shape[0]
     if m.shape != (size, size) or size < 2 or size % 2 or rhs.shape[:1] != (size,):
@@ -378,8 +369,7 @@ def _trace_log_series(m: np.ndarray, tol: float = 1e-13, nmax: int = 600):
 def truncated_product(a1: MomentMatrix, a2: MomentMatrix, n_eps: int) -> np.ndarray:
     """Index-dependent truncation T_N(k,l) = sum_{m <= N-(k+l)/2} A1(k,m)A2(m,l),
     a (2N-3) x (2N-3) matrix approximating A1 A2 through parameter order N."""
-    if n_eps < 2:
-        raise InvalidArgumentError("series order must be >= 2")
+    require_order(n_eps, "n_eps", 2)
     size = 2 * n_eps - 3
     if size > a1.order:
         raise InvalidArgumentError(

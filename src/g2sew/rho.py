@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,11 @@ from .lattice import (
     lattice_distance,
     lattice_min,
     mobius,
+    require_order,
     require_sl2,
     require_tau,
 )
-from .moments import _require_order, _rho_moments_jacobian, _rho_walks, rho_moments
+from .moments import _rho_moments_jacobian, _rho_walks, rho_moments
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
 from .sphere import catalan_f, catalan_g
 
@@ -64,9 +64,11 @@ class LElement:
             raise InvalidArgumentError(f"unknown L element kind {self.kind!r}")
         if self.kind == "gamma1":
             require_sl2(self.mat)
-        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3
-                  and all(isinstance(x, numbers.Integral) for x in self.abc)):
+        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3):
             raise InvalidArgumentError(f"mu needs integers abc = (a, b, c), got {self.abc!r}")
+        else:
+            for x in self.abc:
+                require_order(x, "an entry of mu's abc", -math.inf)
 
     def sp4(self) -> np.ndarray:
         if self.kind == "mu":
@@ -84,8 +86,10 @@ class LElement:
 def in_domain_rho(p: RhoPoint) -> DomainCheck:
     """|w - lambda| > 2|rho|^(1/2) > 0 for every lattice point lambda, and
     D(Lambda_tau) > 2|rho|^(1/2), so that no sewing disc overlaps its own
-    lattice translates."""
+    lattice translates.  Every rho map passes through it, so it also
+    rejects a branch that is not an integer."""
     require_tau(p.tau)
+    require_order(p.branch, "branch", -math.inf)
     bound = min(lattice_distance(p.tau, p.w), lattice_min(p.tau))
     if p.rho == 0 or bound == 0:
         return DomainCheck(False, math.inf)
@@ -148,7 +152,7 @@ def necklace_period_rho(p: RhoPoint, max_rho_order: int,
     through R up to that order (``neumann_id_minus``) in place of (I - R)^-1.
     Agrees with ``period_matrix_rho`` to O(rho^(max_rho_order+1))."""
     _require_rho_domain(p)
-    _require_order(max_rho_order, 1)
+    require_order(max_rho_order, "max_rho_order", 1)
     t = Torus(p.tau, tol)
     r, beta = rho_moments(t, p.w, p.rho, max_rho_order)
     return _rho_solve(p, r, beta, t, 1, max_rho_order)[0]
@@ -205,6 +209,8 @@ def degeneration_period(c: ChiPoint, tol: SeriesTolerance = DEFAULT_TOL) -> Peri
     require_tau(c.tau)
     if not abs(c.chi) < 0.25:
         raise DomainError("degeneration chart needs |chi| < 1/4")
+    if not cmath.isfinite(c.w):
+        raise InvalidArgumentError(f"w must be finite, got {c.w}")
     f = catalan_f(c.chi, tol)
     g = catalan_g(c.chi)
     e2 = eisenstein(2, c.tau, tol)

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .elliptic import DEFAULT_TOL, SeriesTolerance, dedekind_eta, eisenstein_q
+from .elliptic import DEFAULT_TOL, SeriesTolerance, _first_passing, dedekind_eta, eisenstein_q
 from .errors import DomainError, InvalidArgumentError, ToleranceError
-from .lattice import TWO_PI_I
+from .lattice import TWO_PI_I, require_order
 from .moments import (
     BlockMomentMatrix,
     a_matrix,
@@ -37,17 +37,19 @@ def catalan_f(chi: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     if chi == 0:
         return 0j
     if abs(chi) < 1e-3:
+        def term(m: int) -> complex:
+            return math.comb(2 * m, m + 1) / m * chi**m
+
+        # |4 chi| < 4e-3 makes the tail past a term a fast geometric series
+        # in 4 chi, bounded by that term over 1 - |4 chi|
+        last = _first_passing(lambda m: abs(term(m)) / (1.0 - abs(4 * chi)) < tol.abs_tol,
+                              2, tol.max_terms)
+        if last > tol.max_terms:
+            raise ToleranceError("catalan series not certified")
         total = 0j
-        term = chi
-        for n in range(1, tol.max_terms):
-            total += term
-            nxt = math.comb(2 * (n + 1), n + 2) / (n + 1)
-            term_next = nxt * chi ** (n + 1)
-            # |4 chi| < 4e-3 makes the tail a fast geometric series
-            if abs(term_next) / (1.0 - abs(4 * chi)) < tol.abs_tol:
-                return total + term_next
-            term = term_next
-        raise ToleranceError("catalan series not certified")
+        for m in range(1, last + 1):
+            total += term(m)
+        return total
     return (1.0 - cmath.sqrt(1.0 - 4.0 * chi)) / (2.0 * chi) - 1.0
 
 
@@ -55,13 +57,14 @@ def s_nk(n: int, k: int, chi: complex, truncation: int = 60) -> complex:
     """Nested binomial sum S_{n,k}(chi) by the recurrence
     S_{n,k} = sum_{j=1..m} chi^j C(k+j-1, j) S_{n-1,j}, S_{1,j} = 1, with
     every index summed to m = truncation."""
-    if n < 1 or k < 1:
-        raise InvalidArgumentError("s_nk requires n, k >= 1")
-    if truncation < 1:
-        raise InvalidArgumentError(f"s_nk needs truncation >= 1, got {truncation}")
+    require_order(n, "n", 1)
+    require_order(k, "k", 1)
+    require_order(truncation, "truncation", 1)
+    chi = complex(chi)
+    if not cmath.isfinite(chi):
+        raise InvalidArgumentError(f"chi must be finite, got {chi}")
     if n == 1:
         return 1.0 + 0j
-    chi = complex(chi)
     m = truncation
 
     def krow(i: int) -> np.ndarray:

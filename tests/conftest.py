@@ -1,10 +1,17 @@
 """Fixtures shared by the test modules."""
 
+import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 import g2sew  # noqa: F401  (imports every layer module)
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure
+# reproduces; the per-test example counts are unchanged
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

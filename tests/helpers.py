@@ -23,6 +23,20 @@ def complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def eisenstein_recurrence(e4: complex, e6: complex, kmax: int) -> list[complex]:
+    """[E_0..E_kmax] from E_4 and E_6 alone by the Weierstrass recurrence of
+    c_m = (2m-1) E_2m: c_k = 3/((2k+1)(k-3)) sum_(m=2..k-2) c_m c_(k-m),
+    k >= 4.  E_0, E_2 and every odd slot are 0 (E_2 is not in the recurrence)."""
+    c = {2: 3 * e4, 3: 5 * e6}
+    for k in range(4, kmax // 2 + 1):
+        c[k] = 3 / ((2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
+    out = [0j] * (kmax + 1)
+    for m, cm in c.items():
+        if 2 * m <= kmax:
+            out[2 * m] = cm / (2 * m - 1)
+    return out
+
+
 def head_polys_reference(kmax: int) -> list[dict[int, Fraction]]:
     """Exact p_0..p_kmax with p_k(coth(z/2)) = sum_{n in Z} "1/(z-2pi*i*n)^k",
     rebuilt from p_1 = c/2 and p_{k+1} = -(1/k) p_k'(c) (1-c^2)/2 on every call."""

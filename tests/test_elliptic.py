@@ -35,8 +35,9 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import (centred_point, doubling_bounds, head_values_reference,
-                     laurent_weight_reference, weierstrass_reference)
+from helpers import (centred_point, doubling_bounds, eisenstein_recurrence,
+                     head_values_reference, laurent_weight_reference,
+                     weierstrass_reference)
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -170,6 +171,23 @@ class TestEisenstein:
     def test_bad_tau_rejected(self):
         with pytest.raises(InvalidArgumentError):
             eisenstein(4, 1.0 - 2.0j)
+
+    def test_weight_64_agrees_with_the_recurrence_from_e4_and_e6(self):
+        # seeded fundamental-domain tori, i, and the corners e^(i pi/3) and
+        # e^(2i pi/3), where |q| is largest: the q-series table reads at
+        # most 5.8e-13 D^-k from the recurrence (e^(i pi/3), k = 64)
+        rng = random.Random(64)
+        taus = [1j, cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
+        while len(taus) < 43:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.86, 2.5))
+            if abs(tau) >= 1:
+                taus.append(tau)
+        for tau in taus:
+            table = elliptic.Torus(tau).eisenstein(64)
+            ref = eisenstein_recurrence(table[4], table[6], 64)
+            dmin = lattice_min(tau)
+            for k in range(8, 65, 2):
+                assert abs(table[k] - ref[k]) * dmin**k < 1e-12, (tau, k)
 
     @pytest.mark.parametrize("tau", [1j, 0.31 + 0.87j])
     def test_dtau_table_matches_central_difference(self, tau):

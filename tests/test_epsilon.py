@@ -19,13 +19,19 @@ from g2sew import (
     InvalidArgumentError,
     LElement,
     PeriodMatrix,
+    RangeOverflowError,
     RhoPoint,
     SL2_S,
     SL2_T,
+    SeriesTolerance,
     Torus,
+    a_matrix,
     bilinear_form_eps,
+    c_coeff,
     chi_period,
+    degeneration_period,
     eisenstein,
+    eisenstein_range,
     equivariance_residual_eps,
     g_action_eps,
     in_domain_eps,
@@ -35,12 +41,15 @@ from g2sew import (
     necklace_period_rho,
     neumann_id_minus,
     period_matrix_eps,
+    period_matrix_rho,
     prime_form,
     s_nk,
     sp4_action,
     symbolic_period_eps,
     symbolic_period_rho,
+    theta1,
     weierstrass_p,
+    weierstrass_range,
 )
 from g2sew import epsilon as eps_mod
 from g2sew.lattice import TWO_PI_I
@@ -295,7 +304,10 @@ class TestGroupAction:
         assert abs(out.omega22 - om.omega22) < 1e-15
 
 
-@pytest.mark.parametrize("make", [
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, error", [(make, InvalidArgumentError) for make in [
     lambda: GElement("gamma1"),
     lambda: LElement("gamma1"),
     lambda: LElement("mu"),
@@ -316,13 +328,51 @@ class TestGroupAction:
     lambda: necklace_period_eps(EpsPoint(1j, 2j, 0.1), False),
     lambda: necklace_period_rho(RhoPoint(1j, 1 + 0.8j, 0.01), True),
     lambda: neumann_id_minus(np.zeros((4, 4)), np.zeros(4), False),
+    # a branch, an order or a count that is not an integer (or is a bool)
+    lambda: period_matrix_rho(RhoPoint(1j, 1 + 0.3j, 0.01, 0.5)),
+    lambda: period_matrix_rho(RhoPoint(1j, 1 + 0.3j, 0.01, True)),
+    lambda: necklace_period_rho(RhoPoint(1j, 1 + 0.3j, 0.01, 0.5), 2),
+    lambda: LElement("mu", (True, 0, 0)),
+    lambda: period_matrix_eps(EpsPoint(1j, 2j, 0.1), 2.5),
+    lambda: period_matrix_eps(EpsPoint(1j, 2j, 0.1), True),
+    lambda: period_matrix_rho(RhoPoint(1j, 1 + 0.3j, 0.01), 2.0),
+    lambda: invert_eps(period_matrix_eps(EpsPoint(1j, 2j, 0.1)), n=2.5),
+    lambda: eisenstein(4.0, 1j),
+    lambda: eisenstein_range(2.5, 1j),
+    lambda: weierstrass_range(2.5, 1j, 1.0),
+    lambda: c_coeff(1.5, 2.5, 1j),
+    lambda: s_nk(2.5, 1, 0.1),
+    lambda: s_nk(3, 1, 0.1, truncation=2.5),
+    lambda: SeriesTolerance(max_terms=2.5),
+    lambda: SeriesTolerance(max_terms=True),
+    # inputs that are not finite
+    lambda: weierstrass_range(4, 1j, NAN),
+    lambda: period_matrix_rho(RhoPoint(1j, NAN, 0.01)),
+    lambda: weierstrass_range(4, 1j, INF),
+    lambda: prime_form(1j, INF),
+    lambda: s_nk(3, 1, NAN),
+    lambda: theta1(1j, NAN),
+    lambda: a_matrix(1j, NAN, 4),
+    lambda: degeneration_period(ChiPoint(1j, NAN, 0.1)),
+]] + [
+    (lambda: theta1(1j, 1e6), RangeOverflowError),
+    (lambda: weierstrass_range(200, 1j, math.pi * (1j - 1)), RangeOverflowError),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
         "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
         "s-nk-no-terms", "s-nk-negative-terms", "eps-series-past-cap",
         "rho-series-past-cap", "eps-series-non-integral", "eps-series-true",
-        "rho-series-true", "necklace-eps-false", "necklace-rho-true", "walk-sum-false"])
-def test_outside_input_raises_typed_error(make):
-    with pytest.raises(InvalidArgumentError):
+        "rho-series-true", "necklace-eps-false", "necklace-rho-true", "walk-sum-false",
+        "rho-fractional-branch", "rho-true-branch", "necklace-rho-fractional-branch",
+        "mu-true", "eps-fractional-n", "eps-true-n", "rho-float-n", "invert-eps-fractional-n",
+        "eisenstein-float-k", "eisenstein-range-fractional", "weierstrass-range-fractional",
+        "c-coeff-fractional", "s-nk-fractional-n", "s-nk-fractional-truncation",
+        "tolerance-fractional-max-terms", "tolerance-true-max-terms",
+        "weierstrass-nan-z", "rho-nan-w", "weierstrass-inf-z", "prime-form-inf-z",
+        "s-nk-nan-chi", "theta1-nan-z", "a-matrix-nan-eps", "degeneration-nan-w",
+        "theta1-peak-past-double-range",
+        "qz-route-past-double-range"])
+def test_outside_input_raises_typed_error(make, error):
+    with pytest.raises(error):
         make()
 
 
