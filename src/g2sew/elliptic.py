@@ -124,20 +124,6 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_memo(k)[k]
 
 
-def _sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n)."""
-    s = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            s += d**k
-            e = n // d
-            if e != d:
-                s += e**k
-        d += 1
-    return s
-
-
 def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """E_k evaluated directly from the nome q, |q| < 1.
 
@@ -186,9 +172,16 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
             raise ToleranceError(
                 f"E_{k} q-series not certified within {tol.max_terms} terms",
                 achieved=math.exp(min(log_achieved, 700.0)))
+        # sigma_(k-1)(0..stop) in one list: each d raised once to k - 1, then
+        # (from stop // 2 down, so slot d still holds d^(k-1)) added to its proper multiples
+        sigmas = [d ** (k - 1) for d in range(stop + 1)]
+        for d in range(stop // 2, 0, -1):
+            power = sigmas[d]
+            for m in range(2 * d, stop + 1, d):
+                sigmas[m] += power
         for n in range(1, stop + 1):
             qn *= q
-            sigma = _sigma(k - 1, n)
+            sigma = sigmas[n]
             try:
                 c = 2 * sigma / fact
             except OverflowError:
@@ -399,8 +392,10 @@ def dedekind_eta(tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     q24 = cmath.exp(TWO_PI_I * tau / 24.0)
     q = cmath.exp(TWO_PI_I * tau)
     aq = abs(q)
+    # passing needs |q|^(n+1) < abs_tol, log|q| = -2pi Im tau: no n below guess does
+    guess = int(min(math.log(tol.abs_tol) / (-2.0 * math.pi * tau.imag), tol.max_terms))
     stop = _first_passing(lambda n: aq ** (n + 1) / (1.0 - aq) ** 2 < tol.abs_tol,
-                          1, tol.max_terms)
+                          1, tol.max_terms, guess)
     if stop > tol.max_terms:
         raise ToleranceError("eta product not certified",
                              achieved=aq ** (tol.max_terms + 1) / (1.0 - aq) ** 2)
@@ -441,8 +436,12 @@ def theta1(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
         u = s * (n0 + 0.5) + j + 1
         return -a * u * u + s * b * u - math.log1p(-math.exp(s * b - a * (2 * u + 1)))
 
+    # a wing's tail test fails below the larger root of -a u^2 + s b u = log_goal
+    root = math.sqrt(b * b - 4.0 * a * log_goal)
     cap = tol.max_terms // 2
-    hi, lo = (_first_passing(lambda j: log_tail(s, j) < log_goal, 0, cap) for s in (1, -1))
+    hi, lo = (_first_passing(lambda j: log_tail(s, j) < log_goal, 0, cap,
+                             math.ceil((s * b + root) / (2.0 * a) - s * (n0 + 0.5) - 1))
+              for s in (1, -1))
     if max(hi, lo) > cap:
         raise ToleranceError("theta_1 series not certified", achieved=math.exp(
             min(max(log_tail(1, cap), log_tail(-1, cap)), 700.0)))

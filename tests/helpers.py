@@ -1,14 +1,15 @@
 """Reference helpers shared by the test modules."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from g2sew import elliptic
-from g2sew.errors import ToleranceError
+from g2sew.errors import InvalidArgumentError, RangeOverflowError, ToleranceError
 from g2sew.formal import GradedPoly, _mono_mul
-from g2sew.lattice import TWO_PI_I, reduce_mod_lattice
+from g2sew.lattice import TWO_PI_I, reduce_mod_lattice, require_order
 
 
 def complex_jacobian(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -35,6 +36,71 @@ def eisenstein_recurrence(e4: complex, e6: complex, kmax: int) -> list[complex]:
         if 2 * m <= kmax:
             out[2 * m] = cm / (2 * m - 1)
     return out
+
+
+def _sigma_reference(k: int, n: int) -> int:
+    """Divisor power sum sigma_k(n) by trial division up to sqrt(n)."""
+    s = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            s += d**k
+            e = n // d
+            if e != d:
+                s += e**k
+        d += 1
+    return s
+
+
+def eisenstein_q_reference(k: int, q: complex, tol=elliptic.DEFAULT_TOL) -> complex:
+    """``elliptic.eisenstein_q`` with sigma_(k-1)(n) found afresh by trial
+    division for every term: the same certificate, stop and sum."""
+    require_order(k, "k", 2)
+    if k % 2 == 1:
+        return 0j
+    q = complex(q)
+    aq = abs(q)
+    if not aq < 1.0:
+        raise InvalidArgumentError(f"|q| must be < 1, got {aq}")
+    bk = elliptic._bernoulli_memo(k)[k]
+    const = -bk.numerator / (bk.denominator * math.factorial(k))
+    if aq == 0.0:
+        return const + 0j
+    log_const = (math.log(abs(bk.numerator)) - math.log(bk.denominator)
+                 - math.lgamma(k + 1))
+    log_goal = math.log(tol.abs_tol) + min(0.0, log_const)
+    log_pref = math.log(2.0) - math.lgamma(k)
+    log_aq = math.log(aq)
+
+    def certified(n: int) -> bool:
+        rho = aq * ((n + 2) / (n + 1)) ** k
+        return rho < 1.0 and (log_pref + k * math.log(n + 1) + (n + 1) * log_aq
+                              < log_goal + math.log1p(-rho))
+
+    first = max(1, math.floor((log_goal - log_pref - k * math.log(2.0)) / log_aq) - 1)
+    fact = math.factorial(k - 1)
+    log_q = cmath.log(q)
+    total = 0j
+    qn = 1 + 0j
+    try:
+        stop = elliptic._first_passing(certified, first, tol.max_terms)
+        if stop > tol.max_terms:
+            log_achieved = log_pref + k * math.log(tol.max_terms) + tol.max_terms * log_aq
+            raise ToleranceError(
+                f"E_{k} q-series not certified within {tol.max_terms} terms",
+                achieved=math.exp(min(log_achieved, 700.0)))
+        for n in range(1, stop + 1):
+            qn *= q
+            sigma = _sigma_reference(k - 1, n)
+            try:
+                c = 2 * sigma / fact
+            except OverflowError:
+                total += cmath.exp(math.log(2 * sigma) - math.lgamma(k) + n * log_q)
+            else:
+                total += c * qn
+    except OverflowError:
+        raise RangeOverflowError(f"E_{k} q-series leaves the double range") from None
+    return const + total
 
 
 def head_polys_reference(kmax: int) -> list[dict[int, Fraction]]:

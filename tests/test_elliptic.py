@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -35,9 +36,9 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import (centred_point, doubling_bounds, eisenstein_recurrence,
-                     head_values_reference, laurent_weight_reference,
-                     weierstrass_reference)
+from helpers import (centred_point, doubling_bounds, eisenstein_q_reference,
+                     eisenstein_recurrence, head_values_reference,
+                     laurent_weight_reference, weierstrass_reference)
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -46,6 +47,20 @@ T = ((1, 1), (0, 1))
 def mobius(g, tau):
     (a, b), (c, d) = g
     return (a * tau + b) / (c * tau + d)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The live list of (arguments, stop) of each ``elliptic._first_passing`` call."""
+    found = []
+    search = elliptic._first_passing
+
+    def recorded(*args):
+        found.append((args, search(*args)))
+        return found[-1][1]
+
+    monkeypatch.setattr(elliptic, "_first_passing", recorded)
+    return found
 
 
 class TestBernoulli:
@@ -139,6 +154,51 @@ class TestEisenstein:
         for k in range(2, 401, 2):
             ref = complex(Fraction(-bernoulli(k), math.factorial(k)))
             assert repr(eisenstein_q(k, 0)) == repr(ref), k
+
+    def test_sieve_matches_trial_division(self):
+        # sigma_(k-1) is exact either way, so every E_k is the same float:
+        # seeded fundamental-domain, skewed and near-real tori, k <= 100
+        rng = random.Random(1936)
+        taus = []
+        while len(taus) < 4:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.86, 2.5))
+            if abs(tau) >= 1:
+                taus.append(tau)
+        taus += [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 0.6)) for _ in range(4)]
+        taus += [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.09, 0.11)) for _ in range(2)]
+        for tau in taus:
+            q = elliptic.Torus(tau).q
+            ref = [0j, 0j] + [eisenstein_q_reference(k, q) for k in range(2, 101)]
+            assert repr(elliptic.Torus(tau).eisenstein(100)) == repr(ref), tau
+            assert repr([0j, 0j] + [eisenstein_q(k, q) for k in range(2, 101)]) == repr(ref), tau
+
+    def test_sieve_matches_trial_division_in_log_space(self, searches):
+        # at tau = 0.05i the coefficient 2 sigma_199(n)/199! of the last
+        # terms of E_200 leaves the double range, and those terms are formed
+        # in log space
+        q = elliptic.Torus(0.05j).q
+        value = eisenstein_q(200, q)
+        stop = searches[0][1]
+        with pytest.raises(OverflowError):
+            2 * stop**199 / math.factorial(199)
+        assert repr(value) == repr(eisenstein_q_reference(200, q))
+
+    def test_sieve_holds_one_list_of_ints(self, searches):
+        # at tau = 0.1i E_128 sums past 1,000 terms; sigma_127(n) <
+        # 2 stop^127, so stop + 1 slots of such ints bound the peak, which a
+        # second list, of the powers d^127, would about double
+        q = elliptic.Torus(0.1j).q
+        eisenstein_q(128, q)
+        searches.clear()
+        tracemalloc.start()
+        try:
+            eisenstein_q(128, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((_, stop),) = searches
+        assert stop > 1000
+        assert peak < (stop + 1) * (8 + sys.getsizeof(2 * stop**127))
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
     @pytest.mark.parametrize("tau", [1j, 0.25 + 0.8j, -0.4 + 1.7j])
@@ -628,6 +688,17 @@ class TestTorus:
 
 
 class TestEta:
+    def test_theta1_and_eta_searches_start_at_or_below_their_stops(self, searches):
+        # each guess solves the tail test with a nonnegative term dropped,
+        # so it bounds the stop from below and no search gallops from 0
+        rng = random.Random(38)
+        for _ in range(200):
+            tau = complex(rng.uniform(-2.0, 2.0), 10 ** rng.uniform(-1.0, 0.5))
+            elliptic.theta1(tau, complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
+            dedekind_eta(tau)
+        assert len(searches) == 600
+        assert all(args[3] <= stop for args, stop in searches)
+
     def test_value_at_i(self):
         # Gamma(1/4) / (2 pi^(3/4)), and the direct truncated-product oracle
         closed = math.gamma(0.25) / (2.0 * math.pi ** 0.75)
