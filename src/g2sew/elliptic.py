@@ -16,11 +16,11 @@ import functools
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record, _set
 from .errors import (
     InvalidArgumentError,
     PoleError,
@@ -51,17 +51,17 @@ _LAURENT_MAX_WEIGHT = 384
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
+class SeriesTolerance(Record):
     """Adaptive q-series truncation control."""
 
-    abs_tol: float = 1e-14
-    max_terms: int = 10000
+    __slots__ = ("abs_tol", "max_terms")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
+    def __init__(self, abs_tol: float = 1e-14, max_terms: int = 10000):
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "max_terms", max_terms)
+        if not (abs_tol > 0.0):
             raise InvalidArgumentError("abs_tol must be positive")
-        require_order(self.max_terms, "max_terms", 1)
+        require_order(max_terms, "max_terms", 1)
 
 
 DEFAULT_TOL = SeriesTolerance()
@@ -101,18 +101,24 @@ _bernoulli_lock = threading.Lock()
 
 
 def _bernoulli_memo(kmax: int) -> tuple[Fraction, ...]:
-    """The memo (B_0..B_K), K >= kmax, from the defining recurrence; grown
-    to kmax first if it is shorter."""
+    """The memo (B_0..B_K), K >= kmax, from the defining recurrence
+    sum_(j<=m) C(m+1, j) B_j = 0; grown to kmax first if it is shorter.
+    B_m = 0 for odd m >= 3, so the sum runs over j = 0, 1 and the even j
+    only, in integers over the common denominator of the table so far."""
     global _bernoulli_table
     table = _bernoulli_table
     if len(table) <= kmax:
         with _bernoulli_lock:
             b = list(_bernoulli_table)
+            den = math.lcm(*(x.denominator for x in b))
             for m in range(len(b), kmax + 1):
-                s = Fraction(0)
-                for j in range(m):
-                    s += math.comb(m + 1, j) * b[j]
-                b.append(-s / (m + 1))
+                if m > 1 and m % 2:
+                    b.append(Fraction(0))
+                    continue
+                s = sum(math.comb(m + 1, j) * b[j].numerator * (den // b[j].denominator)
+                        for j in range(m) if j < 2 or j % 2 == 0)
+                b.append(Fraction(-s, (m + 1) * den))
+                den = math.lcm(den, b[m].denominator)
             _bernoulli_table = table = tuple(b)
     return table
 
@@ -392,6 +398,9 @@ def dedekind_eta(tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     q24 = cmath.exp(TWO_PI_I * tau / 24.0)
     q = cmath.exp(TWO_PI_I * tau)
     aq = abs(q)
+    if not aq < 1.0:
+        raise ToleranceError(f"eta product not certified: |q| rounds to {aq} at tau = {tau}",
+                             achieved=math.inf)
     # passing needs |q|^(n+1) < abs_tol, log|q| = -2pi Im tau: no n below guess does
     guess = int(min(math.log(tol.abs_tol) / (-2.0 * math.pi * tau.imag), tol.max_terms))
     stop = _first_passing(lambda n: aq ** (n + 1) / (1.0 - aq) ** 2 < tol.abs_tol,
@@ -423,6 +432,9 @@ def theta1(tau: complex, z: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
     if not cmath.isfinite(z):
         raise InvalidArgumentError(f"z must be finite, got {z}")
     a, b = math.pi * tau.imag, z.real
+    if not math.exp(-2.0 * a) < 1.0:
+        raise ToleranceError(f"theta_1 series not certified: |q| rounds to 1 at tau = {tau}",
+                             achieved=math.inf)
     peak = b / (2.0 * a)
     if b * peak / 2.0 + math.log(2.0 / -math.expm1(-a)) > _LOG_DOUBLE_MAX:
         raise RangeOverflowError(

@@ -6,10 +6,10 @@ Newton inversion of the sewing map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, _set
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .errors import ConvergenceError, DomainError, InvalidArgumentError
 from .lattice import TWO_PI_I, lattice_min, mobius, require_order, require_sl2, require_tau
@@ -20,34 +20,38 @@ SL2_T = ((1, 1), (0, 1))
 SL2_S = ((0, -1), (1, 0))
 
 
-@dataclass(frozen=True, slots=True)
-class EpsPoint:
-    tau1: complex
-    tau2: complex
-    eps: complex
+class EpsPoint(Record):
+    __slots__ = ("tau1", "tau2", "eps")
+
+    def __init__(self, tau1: complex, tau2: complex, eps: complex):
+        _set(self, "tau1", tau1)
+        _set(self, "tau2", tau2)
+        _set(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class DomainCheck:
-    ok: bool
-    margin: float  # |parameter| relative to the sharp bound; < 1 inside
+class DomainCheck(Record):
+    __slots__ = ("ok", "margin")
+
+    def __init__(self, ok: bool, margin: float):
+        _set(self, "ok", ok)
+        _set(self, "margin", margin)  # |parameter| relative to the sharp bound; < 1 inside
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class GElement:
+class GElement(Record):
     """Generator data for G = (SL(2,Z) x SL(2,Z)) semidirect Z_2."""
 
-    kind: str  # "gamma1" | "gamma2" | "beta"
-    mat: tuple | None = None  # 2x2 integer matrix for the gamma kinds
+    __slots__ = ("kind", "mat")
 
-    def __post_init__(self):
-        if self.kind not in ("gamma1", "gamma2", "beta"):
-            raise InvalidArgumentError(f"unknown G element kind {self.kind!r}")
-        if self.kind != "beta":
-            require_sl2(self.mat)
+    def __init__(self, kind: str, mat: tuple | None = None):
+        _set(self, "kind", kind)  # "gamma1" | "gamma2" | "beta"
+        _set(self, "mat", mat)  # 2x2 integer matrix for the gamma kinds
+        if kind not in ("gamma1", "gamma2", "beta"):
+            raise InvalidArgumentError(f"unknown G element kind {kind!r}")
+        if kind != "beta":
+            require_sl2(mat)
 
     def sp4(self) -> np.ndarray:
         g = np.eye(4, dtype=int)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
+from ._record import Record, _set
 from .elliptic import _comb
 from .errors import SewingError, UnassignedGeneratorError
 from .lattice import require_order
@@ -49,12 +49,14 @@ def gen_weight(kind: str, idx: int) -> int:
     return idx if kind in ("E", "F", "P") else 0
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """Named generator with its modular weight."""
 
-    symbol: str
-    weight: int
+    __slots__ = ("symbol", "weight")
+
+    def __init__(self, symbol: str, weight: int):
+        _set(self, "symbol", symbol)
+        _set(self, "weight", weight)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:

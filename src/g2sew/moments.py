@@ -11,10 +11,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, _set
 from .elliptic import (
     DEFAULT_TOL,
     SeriesTolerance,
@@ -35,13 +35,17 @@ from .lattice import require_order
 _SOLVE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
+class MomentMatrix(Record):
     """Truncation of an infinite moment matrix; entry (k,l) carries the
     sewing parameter to the power (k+l)/2."""
 
-    order: int
-    entries: np.ndarray
+    __slots__ = ("order", "entries")
+
+    def __init__(self, order: int, entries: np.ndarray):
+        _set(self, "order", order)
+        _set(self, "entries", entries)
+        if entries.shape != (order, order):
+            raise InvalidArgumentError("entries shape does not match order")
 
     @property
     def known_eps_order(self) -> int:
@@ -49,33 +53,31 @@ class MomentMatrix:
         # in any end-normalized chain, so chains are exact through order N+1
         return self.order + 1
 
-    def __post_init__(self):
-        if self.entries.shape != (self.order, self.order):
-            raise InvalidArgumentError("entries shape does not match order")
 
-
-@dataclass(frozen=True)
-class BlockMomentMatrix:
+class BlockMomentMatrix(Record):
     """2x2 arrangement of N x N blocks indexed by (a,b) in {1,2}^2."""
 
-    order: int
-    flat: np.ndarray  # (2N, 2N)
+    __slots__ = ("order", "flat")
+
+    def __init__(self, order: int, flat: np.ndarray):
+        _set(self, "order", order)
+        _set(self, "flat", flat)  # (2N, 2N)
+        if flat.shape != (2 * order, 2 * order):
+            raise InvalidArgumentError("flat shape does not match order")
 
     def block(self, a: int, b: int) -> np.ndarray:
         n = self.order
         return self.flat[(a - 1) * n:a * n, (b - 1) * n:b * n]
 
-    def __post_init__(self):
-        if self.flat.shape != (2 * self.order, 2 * self.order):
-            raise InvalidArgumentError("flat shape does not match order")
 
-
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Record):
     """Pair of length-N blocks indexed by a in {1,2}, flattened to 2N."""
 
-    order: int
-    flat: np.ndarray  # (2N,)
+    __slots__ = ("order", "flat")
+
+    def __init__(self, order: int, flat: np.ndarray):
+        _set(self, "order", order)
+        _set(self, "flat", flat)  # (2N,)
 
     def block(self, a: int) -> np.ndarray:
         n = self.order
@@ -87,12 +89,15 @@ class MomentVector:
         return MomentVector(n, np.concatenate([self.flat[n:], self.flat[:n]]))
 
 
-@dataclass(frozen=True)
-class DetResult:
-    det: complex
-    log_det: complex
-    truncation_order: int
-    reconciled: bool = True
+class DetResult(Record):
+    __slots__ = ("det", "log_det", "truncation_order", "reconciled")
+
+    def __init__(self, det: complex, log_det: complex, truncation_order: int,
+                 reconciled: bool = True):
+        _set(self, "det", det)
+        _set(self, "log_det", log_det)
+        _set(self, "truncation_order", truncation_order)
+        _set(self, "reconciled", reconciled)
 
 
 @functools.lru_cache(maxsize=32)

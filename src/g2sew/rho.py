@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, _set
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
 from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
 from .errors import DomainError, InvalidArgumentError
@@ -33,41 +33,46 @@ from .siegel import PeriodMatrix, require_siegel, symplectic_action
 from .sphere import catalan_f, catalan_g
 
 
-@dataclass(frozen=True, slots=True)
-class RhoPoint:
-    tau: complex
-    w: complex
-    rho: complex
-    branch: int = 0
+class RhoPoint(Record):
+    __slots__ = ("tau", "w", "rho", "branch")
+
+    def __init__(self, tau: complex, w: complex, rho: complex, branch: int = 0):
+        _set(self, "tau", tau)
+        _set(self, "w", w)
+        _set(self, "rho", rho)
+        _set(self, "branch", branch)
 
 
-@dataclass(frozen=True, slots=True)
-class ChiPoint:
-    tau: complex
-    w: complex
-    chi: complex
+class ChiPoint(Record):
+    __slots__ = ("tau", "w", "chi")
+
+    def __init__(self, tau: complex, w: complex, chi: complex):
+        _set(self, "tau", tau)
+        _set(self, "w", w)
+        _set(self, "chi", chi)
 
     def rho_point(self, branch: int = 0) -> RhoPoint:
         return RhoPoint(self.tau, self.w, -self.w**2 * self.chi, branch)
 
 
-@dataclass(frozen=True)
-class LElement:
+class LElement(Record):
     """Generator data for L = Hhat . Gamma_1."""
 
-    kind: str  # "mu" | "gamma1"
-    abc: tuple[int, int, int] | None = None
-    mat: tuple | None = None
+    __slots__ = ("kind", "abc", "mat")
 
-    def __post_init__(self):
-        if self.kind not in ("mu", "gamma1"):
-            raise InvalidArgumentError(f"unknown L element kind {self.kind!r}")
-        if self.kind == "gamma1":
-            require_sl2(self.mat)
-        elif not (isinstance(self.abc, (tuple, list)) and len(self.abc) == 3):
-            raise InvalidArgumentError(f"mu needs integers abc = (a, b, c), got {self.abc!r}")
+    def __init__(self, kind: str, abc: tuple[int, int, int] | None = None,
+                 mat: tuple | None = None):
+        _set(self, "kind", kind)  # "mu" | "gamma1"
+        _set(self, "abc", abc)
+        _set(self, "mat", mat)
+        if kind not in ("mu", "gamma1"):
+            raise InvalidArgumentError(f"unknown L element kind {kind!r}")
+        if kind == "gamma1":
+            require_sl2(mat)
+        elif not (isinstance(abc, (tuple, list)) and len(abc) == 3):
+            raise InvalidArgumentError(f"mu needs integers abc = (a, b, c), got {abc!r}")
         else:
-            for x in self.abc:
+            for x in abc:
                 require_order(x, "an entry of mu's abc", -math.inf)
 
     def sp4(self) -> np.ndarray:

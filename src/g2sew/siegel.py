@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record, _set
 from .errors import ActionSingularError, TruncationError
 
 _PM_KEYS = ("omega11", "omega12", "omega22")
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodMatrix:
+class PeriodMatrix(Record):
     """Symmetric 2x2 complex matrix, stored by its three entries."""
 
-    omega11: complex
-    omega12: complex
-    omega22: complex
+    __slots__ = _PM_KEYS
+
+    def __init__(self, omega11: complex, omega12: complex, omega22: complex):
+        _set(self, "omega11", omega11)
+        _set(self, "omega12", omega12)
+        _set(self, "omega22", omega22)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.omega11, self.omega12],

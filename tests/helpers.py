@@ -52,6 +52,15 @@ def _sigma_reference(k: int, n: int) -> int:
     return s
 
 
+def bernoulli_reference(kmax: int) -> tuple[Fraction, ...]:
+    """(B_0..B_kmax) from the full recurrence B_m = -sum_(j<m) C(m+1, j)
+    B_j / (m+1) in Fractions, odd j included, computed afresh."""
+    b = [Fraction(1)]
+    for m in range(1, kmax + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b)
+
+
 def eisenstein_q_reference(k: int, q: complex, tol=elliptic.DEFAULT_TOL) -> complex:
     """``elliptic.eisenstein_q`` with sigma_(k-1)(n) found afresh by trial
     division for every term: the same certificate, stop and sum."""

@@ -36,8 +36,8 @@ from g2sew import (
 )
 from g2sew import elliptic
 from g2sew.lattice import TWO_PI_I, gauss_reduce, lattice_basis, reduce_mod_lattice
-from helpers import (centred_point, doubling_bounds, eisenstein_q_reference,
-                     eisenstein_recurrence, head_values_reference,
+from helpers import (bernoulli_reference, centred_point, doubling_bounds,
+                     eisenstein_q_reference, eisenstein_recurrence, head_values_reference,
                      laurent_weight_reference, weierstrass_reference)
 
 S = ((0, -1), (1, 0))
@@ -108,6 +108,15 @@ class TestBernoulli:
         assert bad == []
         assert elliptic._bernoulli_table == want
 
+    def test_memo_equals_the_full_recurrence(self, monkeypatch):
+        # cold start, then grown in steps: the even-index sum over one
+        # common denominator gives the full recurrence's Fractions exactly
+        monkeypatch.setattr(elliptic, "_bernoulli_table", (Fraction(1),))
+        want = bernoulli_reference(200)
+        for kmax in (1, 2, 3, 26, 27, 50, 200):
+            assert elliptic._bernoulli_memo(kmax) == want[:kmax + 1]
+        assert all(type(b) is Fraction for b in elliptic._bernoulli_table)
+
     def test_returned_table_cannot_change_the_next_call(self):
         table = elliptic._bernoulli_memo(12)
         with pytest.raises(TypeError):
@@ -116,14 +125,6 @@ class TestBernoulli:
         eis[4] = 0j
         assert elliptic._bernoulli_memo(12)[:13] == bernoulli_reference(12)
         assert eisenstein_range(12, 1j)[4] == eisenstein(4, 1j)
-
-
-def bernoulli_reference(kmax):
-    """(B_0..B_kmax) from the recurrence, computed afresh."""
-    b = [Fraction(1)]
-    for m in range(1, kmax + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return tuple(b)
 
 
 def eisenstein_oracle(k, tau, nterms=200):

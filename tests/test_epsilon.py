@@ -25,11 +25,13 @@ from g2sew import (
     SL2_S,
     SL2_T,
     SeriesTolerance,
+    ToleranceError,
     Torus,
     a_matrix,
     bilinear_form_eps,
     c_coeff,
     chi_period,
+    dedekind_eta,
     degeneration_period,
     eisenstein,
     eisenstein_range,
@@ -358,6 +360,9 @@ NAN, INF = float("nan"), float("inf")
 ]] + [
     (lambda: theta1(1j, 1e6), RangeOverflowError),
     (lambda: weierstrass_range(200, 1j, math.pi * (1j - 1)), RangeOverflowError),
+    # Im tau so small that |q| rounds to 1 in floats
+    (lambda: dedekind_eta(1e-18j), ToleranceError),
+    (lambda: theta1(1e-18j, 0), ToleranceError),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
         "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
         "s-nk-no-terms", "s-nk-negative-terms", "eps-series-past-cap",
@@ -371,7 +376,7 @@ NAN, INF = float("nan"), float("inf")
         "weierstrass-nan-z", "rho-nan-w", "weierstrass-inf-z", "prime-form-inf-z",
         "s-nk-nan-chi", "theta1-nan-z", "a-matrix-nan-eps", "degeneration-nan-w",
         "theta1-peak-past-double-range",
-        "qz-route-past-double-range"])
+        "qz-route-past-double-range", "eta-q-rounds-to-1", "theta1-q-rounds-to-1"])
 def test_outside_input_raises_typed_error(make, error):
     with pytest.raises(error):
         make()

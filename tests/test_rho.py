@@ -4,22 +4,33 @@ necklaces, L-action, degeneration, inversion, and the chart composition."""
 import cmath
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
 from g2sew import (
+    DEFAULT_TOL,
+    BlockMomentMatrix,
     ChiPoint,
+    DetResult,
+    DomainCheck,
     DomainError,
     EpsPoint,
     GElement,
+    Generator,
+    InvalidArgumentError,
     LElement,
+    MomentMatrix,
+    MomentVector,
     PeriodMatrix,
     RhoPoint,
     SL2_S,
     SL2_T,
+    SeriesTolerance,
     catalan_f,
     chi_period,
     degeneration_period,
@@ -402,19 +413,111 @@ class TestComposition:
         assert abs(pt.eps - p.eps) < 1e-7
 
 
-@pytest.mark.parametrize("value", [
+RECORDS = [
     PeriodMatrix(1j, 0.1 + 0.2j, 2j),
     EpsPoint(1j, 2j, 0.05),
     RhoPoint(1j, 1 + 0.8j, 0.01, 2),
     ChiPoint(1j, 0.3, 0.05),
-], ids=lambda v: type(v).__name__)
+    SeriesTolerance(1e-12, 500),
+    DomainCheck(True, 0.25),
+    GElement("gamma1", SL2_T),
+    LElement("mu", (1, 0, -2)),
+    MomentMatrix(2, np.array([[1, 2j], [3, 4]])),
+    BlockMomentMatrix(1, np.array([[1, 2], [3, 4j]])),
+    MomentVector(2, np.arange(4.0)),
+    DetResult(1 + 1j, 0.5j, 4, False),
+    Generator("E4", 4),
+]
+
+
+def field_tuple(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+def same_record(a, b) -> bool:
+    """Same type and fields, numpy fields compared by value (== on a record
+    holding arrays raises, as it does on a tuple holding them)."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(field_tuple(a), field_tuple(b)))
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
 def test_points_and_results_are_slotted_values(value):
+    cls, fields = type(value), field_tuple(value)
     assert not hasattr(value, "__dict__")
-    assert hash(value) == hash(dataclasses.astuple(value))
-    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert type(twin) is type(value)
-        assert twin == value and hash(twin) == hash(value)
+    assert cls.__match_args__ == cls.__slots__
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert same_record(value, cls(*fields))
+    assert same_record(value, cls(**dict(zip(cls.__slots__, fields))))
+    # equal fields in another type (here the field tuple itself) are not equal
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    assert repr(value) == cls.__qualname__ + "(" + ", ".join(
+        f"{name}={field!r}" for name, field in zip(cls.__slots__, fields)) + ")"
+    if any(isinstance(x, np.ndarray) for x in fields):
+        for h in (value, fields):
+            with pytest.raises(TypeError):
+                hash(h)
+    else:
+        assert hash(value) == hash(fields)
+        assert value == cls(*fields)
+    for twin in (copy.deepcopy(value), copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert same_record(twin, value)
         assert repr(twin) == repr(value)
+        if not isinstance(twin, (MomentMatrix, BlockMomentMatrix, MomentVector)):
+            assert twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("a, b", [
+    (EpsPoint(1j, 2j, 0.05), ChiPoint(1j, 2j, 0.05)),
+    (DomainCheck(1e-3, 5), SeriesTolerance(1e-3, 5)),
+    (Generator("E4", 4), DomainCheck("E4", 4)),
+])
+def test_records_of_different_types_are_unequal(a, b):
+    assert field_tuple(a) == field_tuple(b)
+    assert a != b and b != a and not a == b
+
+
+def test_record_reprs_and_defaults():
+    assert repr(EpsPoint(1j, 2j, 0.1)) == "EpsPoint(tau1=1j, tau2=2j, eps=0.1)"
+    assert repr(RhoPoint(1j, 0.3, 0.01)) == "RhoPoint(tau=1j, w=0.3, rho=0.01, branch=0)"
+    assert repr(SeriesTolerance()) == "SeriesTolerance(abs_tol=1e-14, max_terms=10000)"
+    assert repr(GElement("beta")) == "GElement(kind='beta', mat=None)"
+    assert SeriesTolerance() == DEFAULT_TOL
+    assert SeriesTolerance(abs_tol=1e-10) == SeriesTolerance(1e-10, 10000)
+    assert SeriesTolerance(max_terms=7) == SeriesTolerance(1e-14, 7)
+    assert LElement("gamma1", mat=SL2_T) == LElement("gamma1", None, SL2_T)
+    assert DetResult(det=1j, log_det=0j, truncation_order=3) == DetResult(1j, 0j, 3, True)
+    assert ChiPoint(1j, 0.3, 0.05).rho_point() == RhoPoint(1j, 0.3, -0.3**2 * 0.05, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SeriesTolerance(max_terms=2.5), "max_terms"),
+    (lambda: SeriesTolerance(abs_tol=0.0), "abs_tol must be positive"),
+    (lambda: GElement("delta", SL2_T), "unknown G element kind 'delta'"),
+    (lambda: LElement("nu"), "unknown L element kind 'nu'"),
+    (lambda: LElement("mu", (1, 2)), "mu needs integers abc"),
+    (lambda: MomentMatrix(3, np.eye(2)), "entries shape does not match order"),
+    (lambda: BlockMomentMatrix(2, np.eye(2)), "flat shape does not match order"),
+])
+def test_record_validation_is_unchanged(make, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        make()
+
+
+def test_no_package_class_is_a_dataclass():
+    import g2sew
+    for info in pkgutil.iter_modules(g2sew.__path__):
+        mod = importlib.import_module(f"g2sew.{info.name}")
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                assert not dataclasses.is_dataclass(obj), obj
 
 
 _EPS = EpsPoint(1j, 2j, 0.1)
