@@ -203,7 +203,18 @@ def eisenstein_q(k: int, q: complex, tol: SeriesTolerance = DEFAULT_TOL) -> comp
 
 def eisenstein(k: int, tau: complex, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """Eisenstein series E_k(tau); identically 0 for odd k."""
-    return eisenstein_q(k, cmath.exp(TWO_PI_I * require_tau(tau)), tol)
+    tau = require_tau(tau)
+    q = cmath.exp(TWO_PI_I * tau)
+    _require_nome(q, tau)
+    return eisenstein_q(k, q, tol)
+
+
+def _require_nome(q: complex, tau: complex) -> None:
+    """A valid tau whose |q| rounds to 1 in floats has no certifiable
+    q-series: ToleranceError, as eta and theta_1 raise there."""
+    if not abs(q) < 1.0:
+        raise ToleranceError(f"E_k q-series not certified: |q| rounds to 1 at tau = {tau}",
+                             achieved=math.inf)
 
 
 def _comb(k: int, l: int) -> int:
@@ -492,6 +503,8 @@ class Torus:
         """[E_0..E_kmax], zero at E_0, E_1 and every odd weight, kept and grown on demand."""
         require_order(kmax, "kmax")
         values = self._eis
+        if kmax >= len(values):
+            _require_nome(self.q, self.tau)
         for k in range(len(values), kmax + 1):
             values.append(eisenstein_q(k, self.q, self.tol) if k % 2 == 0 else 0j)
         return values[:kmax + 1]

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._record import Record, _set
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
-from .errors import ConvergenceError, DomainError, InvalidArgumentError
+from .errors import ConvergenceError, DomainError, InvalidArgumentError, SewingError
 from .lattice import TWO_PI_I, lattice_min, mobius, require_order, require_sl2, require_tau
 from .moments import _a_matrix, _chequered_walks, a_matrix, solve_id_minus, x_blocks
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
@@ -90,6 +90,7 @@ def period_matrix_eps(p: EpsPoint, n: int = 12,
     2pi*i*Om11 = 2pi*i*tau1 + eps (A2 (I - A1 A2)^-1)(1,1), symmetrically for
     Om22, and 2pi*i*Om12 = -eps (I - A1 A2)^-1 (1,1).
     """
+    _require_eps_domain(p)
     return require_siegel(_period_eps(p, n, tol, half_power_sign)[0], n)
 
 
@@ -104,9 +105,11 @@ def _omega_eps(p: EpsPoint, x12: complex, u1: complex, u2: complex) -> PeriodMat
 
 
 def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
-                half_power_sign: int = 1, jacobian: bool = False):
-    """(Omega, J) with J = d(Om11, Om22, Om12)/d(tau1, tau2, eps) when asked
-    for, else None; both come from one factorization of I - A1 A2.
+                half_power_sign: int = 1):
+    """(Omega, jacobian): ``jacobian()`` forms J = d(Om11, Om22, Om12)/
+    d(tau1, tau2, eps) from this evaluation's tables and its one
+    factorization of I - A1 A2, and costs nothing until it is called.  The
+    caller checks the domain.
 
     With G12 = (I - A1 A2)^-1 and G21 = (I - A2 A1)^-1 = G12^T (A1, A2
     symmetric), the push-through identity A1 G21 = G12 A1 gives every
@@ -116,7 +119,6 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     and d u1(1) is the latter with the labels swapped.
     """
     require_order(n, "n", 1)
-    _require_eps_domain(p)
     t1, t2 = Torus(p.tau1, tol), Torus(p.tau2, tol)
     a1 = _a_matrix(t1.eisenstein(2 * n), p.eps, n, half_power_sign).entries
     a2 = _a_matrix(t2.eisenstein(2 * n), p.eps, n, half_power_sign).entries
@@ -126,30 +128,31 @@ def _period_eps(p: EpsPoint, n: int, tol: SeriesTolerance,
     sol = solve_id_minus(a1 @ a2, rhs)
     x12, u1 = sol[:, 0], sol[:, 1]
     u2 = a2 @ x12
-    omega = _omega_eps(p, x12[0], u1[0], u2[0])
-    if not jacobian:
-        return omega, None
-    x21 = a2 @ u1
-    x21[0] += 1.0
-    da1 = _a_matrix(t1.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
-    da2 = _a_matrix(t2.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
-    kk = np.arange(1, n + 1)
-    half = (kk[:, None] + kk[None, :]) / 2.0
-    h1, h2 = a1 * half, a2 * half  # eps dA1/deps, eps dA2/deps
-    e = p.eps
-    # d(2pi*i Om11, 2pi*i Om22, 2pi*i Om12) / d(tau1, tau2, eps), less the
-    # 2pi*i on the diagonal of the tau columns
-    jac = np.array([
-        [e * (u2 @ da1 @ u2), e * (x12 @ da2 @ x12),
-         u2[0] + u2 @ h1 @ u2 + x12 @ h2 @ x12],
-        [e * (x21 @ da1 @ x21), e * (u1 @ da2 @ u1),
-         u1[0] + x21 @ h1 @ x21 + u1 @ h2 @ u1],
-        [-e * (x21 @ da1 @ u2), -e * (u1 @ da2 @ x12),
-         -(x12[0] + x21 @ h1 @ u2 + u1 @ h2 @ x12)],
-    ]) / TWO_PI_I
-    jac[0, 0] += 1.0
-    jac[1, 1] += 1.0
-    return omega, jac
+
+    def jacobian() -> np.ndarray:
+        x21 = a2 @ u1
+        x21[0] += 1.0
+        da1 = _a_matrix(t1.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
+        da2 = _a_matrix(t2.eisenstein_dtau(2 * n), p.eps, n, half_power_sign).entries
+        kk = np.arange(1, n + 1)
+        half = (kk[:, None] + kk[None, :]) / 2.0
+        h1, h2 = a1 * half, a2 * half  # eps dA1/deps, eps dA2/deps
+        e = p.eps
+        # d(2pi*i Om11, 2pi*i Om22, 2pi*i Om12) / d(tau1, tau2, eps), less the
+        # 2pi*i on the diagonal of the tau columns
+        jac = np.array([
+            [e * (u2 @ da1 @ u2), e * (x12 @ da2 @ x12),
+             u2[0] + u2 @ h1 @ u2 + x12 @ h2 @ x12],
+            [e * (x21 @ da1 @ x21), e * (u1 @ da2 @ u1),
+             u1[0] + x21 @ h1 @ x21 + u1 @ h2 @ u1],
+            [-e * (x21 @ da1 @ u2), -e * (u1 @ da2 @ x12),
+             -(x12[0] + x21 @ h1 @ u2 + u1 @ h2 @ x12)],
+        ]) / TWO_PI_I
+        jac[0, 0] += 1.0
+        jac[1, 1] += 1.0
+        return jac
+
+    return _omega_eps(p, x12[0], u1[0], u2[0]), jacobian
 
 
 def necklace_period_eps(p: EpsPoint, max_eps_order: int,
@@ -228,30 +231,90 @@ def equivariance_residual_eps(g: GElement, p: EpsPoint, n: int = 16,
 
 
 def _eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
+    """Leading-order inversion of the two-tori degeneration."""
     om11, om22, om12 = target.omega11, target.omega22, target.omega12
     tau1 = om11 - TWO_PI_I * om12**2 * eisenstein(2, om22, tol)
     tau2 = om22 - TWO_PI_I * om12**2 * eisenstein(2, om11, tol)
     return EpsPoint(tau1, tau2, -TWO_PI_I * om12)
 
 
+# A seed takes at most this many defect-correction passes, fewer when its
+# model's defect stops falling
+_SEED_PASSES = 3
+# the eps chart's model: the period map at order 3 (E_2..E_6 per torus)
+_SEED_ORDER = 3
+
+
+def _refine_seed(model, correct, inside, x: np.ndarray) -> np.ndarray:
+    """Defect correction of a Newton seed against a cheap model of the map.
+
+    ``model(x)`` is the model's defect at x (model minus target);
+    ``correct(x, d)`` moves x by that defect; ``inside(x)`` tells whether
+    Newton may start at x.  The model is evaluated outside the domain too,
+    so a seed can pass into it.  Returns the last point evaluated inside the
+    domain (its defect is the least, since the passes stop once the defect
+    stops falling), or x itself when there is none.  A model that raises
+    ends the passes: Newton then checks every point at full order.
+    """
+    best, last = x, math.inf
+    for k in range(_SEED_PASSES + 1):
+        try:
+            d = model(x)
+        except SewingError:
+            break
+        res = max(abs(d[0]), abs(d[1]), abs(d[2]))
+        if not res < last:
+            break
+        last = res
+        if inside(x):
+            best = x
+        if k < _SEED_PASSES:
+            x = correct(x, d)
+    return best
+
+
+def _refined_eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
+    """``_eps_seed`` refined against the period map at order _SEED_ORDER:
+    a pass moves tau1 and tau2 by the model's defect in Om11 and Om22 and
+    scales eps by Om12 over the model's."""
+    goal = np.array([target.omega11, target.omega22, target.omega12])
+
+    def model(v: np.ndarray) -> np.ndarray:
+        if not (v[0].imag > 0.0 and v[1].imag > 0.0):
+            raise DomainError("tau left the upper half-plane")
+        om = _period_eps(EpsPoint(v[0], v[1], v[2]), _SEED_ORDER, tol)[0]
+        return np.array([om.omega11, om.omega22, om.omega12]) - goal
+
+    def correct(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return np.array([v[0] - d[0], v[1] - d[1], v[2] * goal[2] / (goal[2] + d[2])])
+
+    lead = _eps_seed(target, tol)
+    x = _refine_seed(model, correct, lambda v: in_domain_eps(EpsPoint(*v)).ok,
+                     np.array([lead.tau1, lead.tau2, lead.eps]))
+    return EpsPoint(complex(x[0]), complex(x[1]), complex(x[2]))
+
+
 def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50):
     """Damped Newton for a holomorphic map C^m -> C^m.
 
-    f(x) returns the residual and its complex Jacobian (F, J); the J of each
-    accepted line-search point drives the next step, so a trial costs one
-    call of f and the Jacobian none.
+    f(x) returns the residual F and a zero-argument callable that forms the
+    complex Jacobian J from the work F already did.  J is formed only at the
+    point a step leaves from, so a line-search trial costs one call of f
+    and the returned point no J.  A ``ConvergenceError`` carries the last
+    residual and, in ``steps``, each accepted step's (residual, lam).
     """
     x = np.array(x0, dtype=complex)
     fx, jac = f(x)
     res = float(np.max(np.abs(fx)))
+    steps = []
     for _ in range(max_iter):
         if res < newton_tol:
             return x
         try:
-            step = np.linalg.solve(jac, fx)
+            step = np.linalg.solve(jac(), fx)
         except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Newton Jacobian",
-                                   last_residual=res) from None
+            raise ConvergenceError("singular Newton Jacobian", last_residual=res,
+                                   steps=steps) from None
         lam = 1.0
         for _ in range(30):
             try:
@@ -266,13 +329,14 @@ def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50):
         else:
             raise ConvergenceError(
                 "Newton step could not reduce the residual inside the domain",
-                last_residual=res)
+                last_residual=res, steps=steps)
         x = x - lam * step
         fx, jac, res = fx_new, jac_new, res_new
+        steps.append((res, lam))
     if res < newton_tol:
         return x
     raise ConvergenceError(f"no convergence in {max_iter} iterations",
-                           last_residual=res)
+                           last_residual=res, steps=steps)
 
 
 def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
@@ -281,20 +345,22 @@ def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
     """Invert the sewing map near the two-tori degeneration.
 
     Newton iteration on (tau1, tau2, eps) with the closed-form Jacobian; the
-    auto-seed comes from the leading inversion formulas.  diag targets
-    return (tau1, tau2, 0) exactly.
+    auto-seed is the leading inversion formulas refined against the order-3
+    period map (``_refined_eps_seed``), and an explicit seed is used as
+    given.  diag targets return (tau1, tau2, 0) exactly.
     """
     if abs(target.omega12) < 1e-15:
         return EpsPoint(target.omega11, target.omega22, 0j)
     if seed is None:
-        seed = _eps_seed(target, tol)
+        seed = _refined_eps_seed(target, tol)
     goal = np.array([target.omega11, target.omega22, target.omega12])
 
     def f(v: np.ndarray):
         p = EpsPoint(v[0], v[1], v[2])
         if not (p.tau1.imag > 0.0 and p.tau2.imag > 0.0):
             raise DomainError("tau left the upper half-plane")
-        om, jac = _period_eps(p, n, tol, jacobian=True)
+        _require_eps_domain(p)
+        om, jac = _period_eps(p, n, tol)
         return np.array([om.omega11, om.omega22, om.omega12]) - goal, jac
 
     x = _newton(f, np.array([seed.tau1, seed.tau2, seed.eps]), newton_tol)

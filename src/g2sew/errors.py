@@ -50,11 +50,13 @@ class TruncationError(SewingError):
 
 
 class ConvergenceError(SewingError):
-    """Newton iteration did not converge; carries the last residual."""
+    """Newton iteration did not converge; carries the last residual and, in
+    ``steps``, the residual and damping factor lam of each accepted step."""
 
-    def __init__(self, message, last_residual=None):
+    def __init__(self, message, last_residual=None, steps=()):
         super().__init__(message)
         self.last_residual = last_residual
+        self.steps = list(steps)
 
 
 class ActionSingularError(SewingError):

@@ -209,9 +209,10 @@ def beta_vector(tau: complex, w: complex, rho: complex, n: int,
 
 
 def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
-    """(R, beta), (dR/dw, dbeta/dw), (dR/dtau, dbeta/dtau), d log K/dw and
-    d log K/dtau at the torus t, from its E_k and dE_k/dtau and its
-    P_k(tau, w) reaching weight 2n + 2.
+    """(R, beta) at the torus t, and a zero-argument callable giving
+    (dR/dw, dbeta/dw), (dR/dtau, dbeta/dtau), d log K/dw and d log K/dtau.
+    Both read the tables built here: E_k and P_k(tau, w) to weight 2n + 2,
+    the weight dE_k/dtau needs; the callable only assembles.
 
     Each pair is ``_rho_pair`` of a table pair: (E, P), then (0, dP/dw)
     with dP_k/dw = -k P_(k+1), then (dE/dtau, dP/dtau) with dP_k/dtau from
@@ -222,14 +223,17 @@ def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     """
     s = _scaling(rho, n, 1)
     kernel = _kernel_coeffs(n)
-    eis = t.eisenstein(2 * n)
+    eis = t.eisenstein(2 * n + 2)
     pks = np.asarray(t.weierstrass(2 * n + 2, w))
-    dpks_dw = np.zeros(2 * n + 1, dtype=complex)
-    dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
-    return (_rho_pair(kernel, eis, pks, s),
-            _rho_pair(kernel, np.zeros(2 * n + 1), dpks_dw, s),
-            _rho_pair(kernel, t.eisenstein_dtau(2 * n), _heat_dtau(pks, 0), s),
-            complex(pks[1]), _log_prime_form_dtau(pks[1], pks[2], eis[2]))
+
+    def derivatives():
+        dpks_dw = np.zeros(2 * n + 1, dtype=complex)
+        dpks_dw[1:] = -np.arange(1, 2 * n + 1) * pks[2:2 * n + 2]
+        return (_rho_pair(kernel, np.zeros(2 * n + 1), dpks_dw, s),
+                _rho_pair(kernel, t.eisenstein_dtau(2 * n), _heat_dtau(pks, 0), s),
+                complex(pks[1]), _log_prime_form_dtau(pks[1], pks[2], eis[2]))
+
+    return _rho_pair(kernel, eis, pks, s), derivatives
 
 
 def sphere_moments(chi: complex, n: int,

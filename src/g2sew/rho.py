@@ -17,7 +17,7 @@ import numpy as np
 
 from ._record import Record, _set
 from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
-from .epsilon import DomainCheck, EpsPoint, _newton, invert_eps
+from .epsilon import DomainCheck, EpsPoint, _newton, _refine_seed, invert_eps
 from .errors import DomainError, InvalidArgumentError
 from .lattice import (
     TWO_PI_I,
@@ -242,8 +242,10 @@ def _chi_seed(target: PeriodMatrix) -> ChiPoint:
 
 
 def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
-    """(F^chi(c), J) with J = d(Om11, Om12, Om22)/d(tau, w, chi), all from
-    one set of tables (``_rho_moments_jacobian``) and one factorization.
+    """(F^chi(c), jacobian): ``jacobian()`` forms J = d(Om11, Om12, Om22)/
+    d(tau, w, chi) from the tables this evaluation read
+    (``_rho_moments_jacobian``) and its one factorization, and costs
+    nothing until it is called.
 
     With G = (I-R)^-1, y = G^T beta and any parameter s,
     d sigma11 = (Pg).dR g,  d(beta G u) = dbeta.g + y.dR g,
@@ -255,36 +257,73 @@ def _chi_period_jacobian(c: ChiPoint, n: int, tol: SeriesTolerance):
     p = c.rho_point()
     _require_rho_domain(p)
     t = Torus(p.tau, tol)
-    (r, beta), (dr_dw, dbeta_dw), (dr_dtau, dbeta_dtau), p1, dlogk_dtau = (
-        _rho_moments_jacobian(t, p.w, p.rho, n))
+    (r, beta), derivatives = _rho_moments_jacobian(t, p.w, p.rho, n)
     omega, g, z = _rho_solve(p, r, beta, t, 1)
-    kk = np.tile(np.arange(1, n + 1), 2)
-    dr_drho = r.flat * (kk[:, None] + kk[None, :]) / (2.0 * p.rho)
-    dbeta_drho = beta.flat * kk / (2.0 * p.rho)
-    pg = np.concatenate([g[n:], g[:n]])
-    y = np.concatenate([z[n:], z[:n]])
 
-    def partials(dr, dbeta):
-        return np.array([pg @ dr @ g, dbeta @ g + y @ dr @ g,
-                         2.0 * (dbeta @ z) + y @ dr @ z])
+    def jacobian() -> np.ndarray:
+        (dr_dw, dbeta_dw), (dr_dtau, dbeta_dtau), p1, dlogk_dtau = derivatives()
+        kk = np.tile(np.arange(1, n + 1), 2)
+        dr_drho = r.flat * (kk[:, None] + kk[None, :]) / (2.0 * p.rho)
+        dbeta_drho = beta.flat * kk / (2.0 * p.rho)
+        pg = np.concatenate([g[n:], g[:n]])
+        y = np.concatenate([z[n:], z[:n]])
 
-    sr = cmath.sqrt(p.rho)
-    s_rho = partials(dr_drho, dbeta_drho)
-    s_w = partials(dr_dw.flat, dbeta_dw.flat)
-    s_tau = partials(dr_dtau.flat, dbeta_dtau.flat)
-    # d(2pi*i Om11, 2pi*i Om12, 2pi*i Om22) along rho and along w at fixed
-    # tau, and along tau at fixed (w, rho)
-    d_rho = np.array([-(g[0] + g[n]) - p.rho * s_rho[0],
-                      -sr / (2.0 * p.rho) * (beta.flat @ g) - sr * s_rho[1],
-                      1.0 / p.rho - s_rho[2]])
-    d_w = np.array([-p.rho * s_w[0], 1.0 - sr * s_w[1], -2.0 * p1 - s_w[2]])
-    d_tau = np.array([TWO_PI_I - p.rho * s_tau[0], -sr * s_tau[1],
-                      -2.0 * dlogk_dtau - s_tau[2]])
-    jac = np.empty((3, 3), dtype=complex)
-    jac[:, 0] = d_tau / TWO_PI_I
-    jac[:, 1] = (d_w - 2.0 * c.w * c.chi * d_rho) / TWO_PI_I  # rho = -w^2 chi
-    jac[:, 2] = -c.w**2 * d_rho / TWO_PI_I
-    return np.array([omega.omega11, omega.omega12, omega.omega22]), jac
+        def partials(dr, dbeta):
+            return np.array([pg @ dr @ g, dbeta @ g + y @ dr @ g,
+                             2.0 * (dbeta @ z) + y @ dr @ z])
+
+        sr = cmath.sqrt(p.rho)
+        s_rho = partials(dr_drho, dbeta_drho)
+        s_w = partials(dr_dw.flat, dbeta_dw.flat)
+        s_tau = partials(dr_dtau.flat, dbeta_dtau.flat)
+        # d(2pi*i Om11, 2pi*i Om12, 2pi*i Om22) along rho and along w at fixed
+        # tau, and along tau at fixed (w, rho)
+        d_rho = np.array([-(g[0] + g[n]) - p.rho * s_rho[0],
+                          -sr / (2.0 * p.rho) * (beta.flat @ g) - sr * s_rho[1],
+                          1.0 / p.rho - s_rho[2]])
+        d_w = np.array([-p.rho * s_w[0], 1.0 - sr * s_w[1], -2.0 * p1 - s_w[2]])
+        d_tau = np.array([TWO_PI_I - p.rho * s_tau[0], -sr * s_tau[1],
+                          -2.0 * dlogk_dtau - s_tau[2]])
+        jac = np.empty((3, 3), dtype=complex)
+        jac[:, 0] = d_tau / TWO_PI_I
+        jac[:, 1] = (d_w - 2.0 * c.w * c.chi * d_rho) / TWO_PI_I  # rho = -w^2 chi
+        jac[:, 2] = -c.w**2 * d_rho / TWO_PI_I
+        return jac
+
+    return np.array([omega.omega11, omega.omega12, omega.omega22]), jacobian
+
+
+def _refined_chi_seed(target: PeriodMatrix, tol: SeriesTolerance) -> ChiPoint:
+    """``_chi_seed`` refined against ``degeneration_period``, the paper's
+    through-w^2 formula: a pass moves tau by the defect in Om11, scales w by
+    Om12 over the model's and moves chi by the defect in Om22 through
+    d log f/dchi = 1/(chi sqrt(1 - 4 chi)).  The defect in Om22 is taken
+    mod 1, as Newton's residual is."""
+    goal = np.array([target.omega11, target.omega12, target.omega22])
+
+    def model(v: np.ndarray) -> np.ndarray:
+        if not v[0].imag > 0.0:
+            raise DomainError("tau left the upper half-plane")
+        om = degeneration_period(ChiPoint(v[0], v[1], v[2]), tol)
+        return _mod_cut(np.array([om.omega11, om.omega12, om.omega22]) - goal)
+
+    def correct(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+        tau, w, chi = v
+        return np.array([tau - d[0], w * goal[1] / (goal[1] + d[1]),
+                         chi - TWO_PI_I * d[2] * chi * cmath.sqrt(1.0 - 4.0 * chi)])
+
+    lead = _chi_seed(target)
+    x = _refine_seed(model, correct,
+                     lambda v: in_domain_rho(ChiPoint(v[0], v[1], v[2]).rho_point()).ok,
+                     np.array([lead.tau, lead.w, lead.chi]))
+    return ChiPoint(complex(x[0]), complex(x[1]), complex(x[2]))
+
+
+def _mod_cut(res: np.ndarray) -> np.ndarray:
+    """A residual in (Om11, Om12, Om22) with Om22's reduced mod 1: F mod 1
+    is holomorphic across the cut of omega22's principal log."""
+    res[2] -= round(res[2].real)
+    return res
 
 
 def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
@@ -292,13 +331,15 @@ def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
                tol: SeriesTolerance = DEFAULT_TOL) -> ChiPoint:
     """Invert F^chi near a two-tori degeneration point.
 
-    Targets with vanishing off-diagonal entry return the w = 0 fixed point
-    (tau, 0, chi) directly.
+    The auto-seed is the leading inversion refined against
+    ``degeneration_period`` (``_refined_chi_seed``); an explicit seed is
+    used as given.  Targets with vanishing off-diagonal entry return the
+    w = 0 fixed point (tau, 0, chi) directly.
     """
-    if seed is None:
-        seed = _chi_seed(target)
     if abs(target.omega12) < 1e-14:
-        return ChiPoint(target.omega11, 0j, seed.chi)
+        return ChiPoint(target.omega11, 0j, (_chi_seed(target) if seed is None else seed).chi)
+    if seed is None:
+        seed = _refined_chi_seed(target, tol)
     goal = np.array([target.omega11, target.omega12, target.omega22])
 
     def f(v: np.ndarray):
@@ -308,10 +349,7 @@ def invert_chi(target: PeriodMatrix, seed: ChiPoint | None = None,
         if not (0 < abs(cp.chi) < 0.25):
             raise DomainError("chi left the chart")
         om, jac = _chi_period_jacobian(cp, n, tol)
-        res = om - goal
-        # F mod 1 is holomorphic across the cut of omega22's principal log
-        res[2] -= round(res[2].real)
-        return res, jac
+        return _mod_cut(om - goal), jac
 
     x = _newton(f, np.array([seed.tau, seed.w, seed.chi]), newton_tol)
     return ChiPoint(complex(x[0]), complex(x[1]), complex(x[2]))

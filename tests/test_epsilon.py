@@ -34,6 +34,7 @@ from g2sew import (
     dedekind_eta,
     degeneration_period,
     eisenstein,
+    eisenstein_q,
     eisenstein_range,
     equivariance_residual_eps,
     g_action_eps,
@@ -363,6 +364,10 @@ NAN, INF = float("nan"), float("inf")
     # Im tau so small that |q| rounds to 1 in floats
     (lambda: dedekind_eta(1e-18j), ToleranceError),
     (lambda: theta1(1e-18j, 0), ToleranceError),
+    (lambda: eisenstein(4, 1e-18j), ToleranceError),
+    (lambda: eisenstein_range(6, 1e-18j), ToleranceError),
+    # a caller-given nome on or past the unit circle is an invalid argument
+    (lambda: eisenstein_q(4, 1.0), InvalidArgumentError),
 ], ids=["G-no-mat", "L-no-mat", "mu-no-abc", "G-3-rows", "L-3-rows", "G-det-2",
         "G-non-integer", "L-non-integer", "mu-non-integer", "prime-form-route",
         "s-nk-no-terms", "s-nk-negative-terms", "eps-series-past-cap",
@@ -376,7 +381,9 @@ NAN, INF = float("nan"), float("inf")
         "weierstrass-nan-z", "rho-nan-w", "weierstrass-inf-z", "prime-form-inf-z",
         "s-nk-nan-chi", "theta1-nan-z", "a-matrix-nan-eps", "degeneration-nan-w",
         "theta1-peak-past-double-range",
-        "qz-route-past-double-range", "eta-q-rounds-to-1", "theta1-q-rounds-to-1"])
+        "qz-route-past-double-range", "eta-q-rounds-to-1", "theta1-q-rounds-to-1",
+        "eisenstein-q-rounds-to-1", "eisenstein-range-q-rounds-to-1",
+        "eisenstein-q-caller-nome-1"])
 def test_outside_input_raises_typed_error(make, error):
     with pytest.raises(error):
         make()
@@ -451,9 +458,9 @@ class TestInversion:
             om = period_matrix_eps(EpsPoint(*v), 16)
             return np.array([om.omega11, om.omega22, om.omega12])
 
-        om, jac = eps_mod._period_eps(EpsPoint(*x0), 16, eps_mod.DEFAULT_TOL,
-                                      jacobian=True)
+        om, jacobian = eps_mod._period_eps(EpsPoint(*x0), 16, eps_mod.DEFAULT_TOL)
         assert np.array_equal(f(x0), [om.omega11, om.omega22, om.omega12])
+        jac = jacobian()
         ref = complex_jacobian(f, x0)
         assert np.max(np.abs(jac - ref)) < 1e-7 * np.max(np.abs(ref))
 
@@ -467,7 +474,7 @@ class TestInversion:
         tables = [args[:2] for args in calls]
         assert tables == [(k, Torus(tau).q) for tau in (1j, 2j) for k in range(2, 35, 2)]
         calls.clear()
-        eps_mod._period_eps(EpsPoint(1j, 2j, 0.1), 16, eps_mod.DEFAULT_TOL, jacobian=True)
+        eps_mod._period_eps(EpsPoint(1j, 2j, 0.1), 16, eps_mod.DEFAULT_TOL)[1]()
         assert Counter(args[:2] for args in calls) == Counter(tables)
 
     def test_newton_step_costs_one_evaluation_per_line_search_trial(self):
@@ -481,13 +488,15 @@ class TestInversion:
             calls.append(v.copy())
             if np.max(np.abs(v)) > 2.2:
                 raise DomainError("outside the guard")
-            return v**2 - 4.0, np.diag(2.0 * v)
+            return v**2 - 4.0, lambda: np.diag(2.0 * v)
 
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             eps_mod._newton(f, np.ones(3, dtype=complex), 1e-12, max_iter=1)
         assert len(calls) == 1 + 2
         assert np.allclose(calls[1], 2.5)
         assert np.allclose(calls[-1], 1.75)
+        assert err.value.last_residual == pytest.approx(abs(1.75**2 - 4.0))
+        assert err.value.steps == [(pytest.approx(abs(1.75**2 - 4.0)), 0.5)]
 
     def test_jacobian_determinant_at_degeneration(self):
         # complex Jacobian of (Om11, Om22, 2pi*i*Om12) wrt (tau1, tau2, eps)
