@@ -253,8 +253,9 @@ def _refine_seed(model, correct, inside, x: np.ndarray) -> np.ndarray:
     Newton may start at x.  The model is evaluated outside the domain too,
     so a seed can pass into it.  Returns the last point evaluated inside the
     domain (its defect is the least, since the passes stop once the defect
-    stops falling), or x itself when there is none.  A model that raises
-    ends the passes: Newton then checks every point at full order.
+    stops falling), or x itself when there is none.  A model that raises a
+    ``SewingError`` (tau off the upper half-plane, chi off its chart, a
+    singular solve) ends the passes; Newton checks every point at full order.
     """
     best, last = x, math.inf
     for k in range(_SEED_PASSES + 1):
@@ -280,8 +281,6 @@ def _refined_eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
     goal = np.array([target.omega11, target.omega22, target.omega12])
 
     def model(v: np.ndarray) -> np.ndarray:
-        if not (v[0].imag > 0.0 and v[1].imag > 0.0):
-            raise DomainError("tau left the upper half-plane")
         om = _period_eps(EpsPoint(v[0], v[1], v[2]), _SEED_ORDER, tol)[0]
         return np.array([om.omega11, om.omega22, om.omega12]) - goal
 

@@ -302,8 +302,6 @@ def _refined_chi_seed(target: PeriodMatrix, tol: SeriesTolerance) -> ChiPoint:
     goal = np.array([target.omega11, target.omega12, target.omega22])
 
     def model(v: np.ndarray) -> np.ndarray:
-        if not v[0].imag > 0.0:
-            raise DomainError("tau left the upper half-plane")
         om = degeneration_period(ChiPoint(v[0], v[1], v[2]), tol)
         return _mod_cut(np.array([om.omega11, om.omega12, om.omega22]) - goal)
 

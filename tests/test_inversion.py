@@ -13,6 +13,7 @@ from g2sew import (
     ChiPoint,
     ConvergenceError,
     EpsPoint,
+    PeriodMatrix,
     chi_period,
     in_domain_rho,
     invert_chi,
@@ -162,6 +163,5 @@ class TestSeedsAndJacobians:
 
         monkeypatch.setattr(eps_mod, "_refined_eps_seed", refused)
         monkeypatch.setattr(rho_mod, "_refined_chi_seed", refused)
-        from g2sew import PeriodMatrix
         assert invert_eps(PeriodMatrix(1j, 0.0, 2j)) == EpsPoint(1j, 2j, 0j)
         assert invert_chi(PeriodMatrix(1j, 0.0, 0.3j)).w == 0
