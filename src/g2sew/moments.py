@@ -211,8 +211,9 @@ def beta_vector(tau: complex, w: complex, rho: complex, n: int,
 def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     """(R, beta) at the torus t, and a zero-argument callable giving
     (dR/dw, dbeta/dw), (dR/dtau, dbeta/dtau), d log K/dw and d log K/dtau.
-    Both read the tables built here: E_k and P_k(tau, w) to weight 2n + 2,
-    the weight dE_k/dtau needs; the callable only assembles.
+    Both read the tables built here, E_k to weight 2n and P_k(tau, w) to
+    weight 2n + 2; the callable adds dE_k/dtau, which reads E_(2n+2), and
+    assembles, so an evaluation whose J is never formed pays for neither.
 
     Each pair is ``_rho_pair`` of a table pair: (E, P), then (0, dP/dw)
     with dP_k/dw = -k P_(k+1), then (dE/dtau, dP/dtau) with dP_k/dtau from
@@ -223,7 +224,7 @@ def _rho_moments_jacobian(t: Torus, w: complex, rho: complex, n: int):
     """
     s = _scaling(rho, n, 1)
     kernel = _kernel_coeffs(n)
-    eis = t.eisenstein(2 * n + 2)
+    eis = t.eisenstein(2 * n)
     pks = np.asarray(t.weierstrass(2 * n + 2, w))
 
     def derivatives():

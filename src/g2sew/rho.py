@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ._record import Record, _set
-from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein
+from .elliptic import DEFAULT_TOL, SeriesTolerance, Torus, eisenstein, eisenstein_q
 from .epsilon import DomainCheck, EpsPoint, _newton, _refine_seed, invert_eps
 from .errors import DomainError, InvalidArgumentError
 from .lattice import (
@@ -30,7 +30,7 @@ from .lattice import (
 )
 from .moments import _rho_moments_jacobian, _rho_walks, rho_moments
 from .siegel import PeriodMatrix, require_siegel, symplectic_action
-from .sphere import catalan_f, catalan_g
+from .sphere import catalan_f
 
 
 class RhoPoint(Record):
@@ -210,14 +210,19 @@ def equivariance_residual_rho(g: LElement, p: RhoPoint, n: int = 16,
 
 def degeneration_period(c: ChiPoint, tol: SeriesTolerance = DEFAULT_TOL) -> PeriodMatrix:
     """Leading-order (through w^2) period matrix near the two-tori
-    degeneration at fixed chi; the remainder is O(w^4)."""
+    degeneration at fixed chi; the remainder is O(w^4).
+
+    Its coefficient G(chi) = 1/12 + E_2(q = f(chi)) (``sphere.catalan_g``
+    reads E_2 off the sphere's sewing data) is summed here as E_2's
+    certified q-series at the nome f(chi).
+    """
     require_tau(c.tau)
-    if not abs(c.chi) < 0.25:
-        raise DomainError("degeneration chart needs |chi| < 1/4")
+    if not 0 < abs(c.chi) < 0.25:
+        raise DomainError("degeneration chart needs 0 < |chi| < 1/4")
     if not cmath.isfinite(c.w):
         raise InvalidArgumentError(f"w must be finite, got {c.w}")
     f = catalan_f(c.chi, tol)
-    g = catalan_g(c.chi)
+    g = 1.0 / 12.0 + eisenstein_q(2, f, tol)
     e2 = eisenstein(2, c.tau, tol)
     w2 = c.w * c.w
     fac = 1.0 - 4.0 * c.chi

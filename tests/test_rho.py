@@ -287,6 +287,18 @@ class TestDegeneration:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             degeneration_period(ChiPoint(1j, 0.1, 0.3))
+        with pytest.raises(DomainError):
+            degeneration_period(ChiPoint(1j, 0.1, 0.0))
+
+    def test_g_is_the_sphere_sewing_coefficient(self):
+        # G(chi) summed as E_2's q-series at q = f(chi) is the G the sphere's
+        # sewing data give (n = 24 is exact to 1e-12 at |chi| = 0.1)
+        from g2sew import catalan_g
+        c = ChiPoint(0.3 + 1.1j, 0.2 - 0.1j, 0.1j)
+        om = degeneration_period(c)
+        fac = 1.0 - 4.0 * c.chi
+        g = (TWO_PI_I * om.omega11 - TWO_PI_I * c.tau) / (c.w**2 * fac)
+        assert abs(g - catalan_g(c.chi)) < 1e-12
 
 
 class TestInversion:
@@ -300,6 +312,9 @@ class TestInversion:
         seed = rho_mod._chi_seed(target)
         assert chi_period(seed, 12).omega22.real > 0.49
         x = invert_chi(target, seed=seed, newton_tol=1e-11, n=12)
+        assert max(abs(x.tau - c.tau), abs(x.w - c.w), abs(x.chi - c.chi)) < 1e-9
+        # the refined auto-seed takes its model's Om22 defect mod 1 at the cut
+        x = invert_chi(target, newton_tol=1e-11, n=12)
         assert max(abs(x.tau - c.tau), abs(x.w - c.w), abs(x.chi - c.chi)) < 1e-9
 
     def test_diag_target_fixed_point(self):
@@ -362,7 +377,7 @@ class TestInversion:
         # calls; the P_k table reaches weight 2n + 2 = 26, whose Laurent
         # tails certify by weight 26, the weight dE_k/dtau reads anyway
         counts = count_calls("chi_period", "eisenstein_q")
-        rho_mod._chi_period_jacobian(ChiPoint(1j, 0.3, 0.05), 12, rho_mod.DEFAULT_TOL)
+        rho_mod._chi_period_jacobian(ChiPoint(1j, 0.3, 0.05), 12, rho_mod.DEFAULT_TOL)[1]()
         assert counts == {"chi_period": 0, "eisenstein_q": 13}
 
     def test_jacobian_determinant_near_degeneration(self):
