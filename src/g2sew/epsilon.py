@@ -238,9 +238,10 @@ def _eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
     return EpsPoint(tau1, tau2, -TWO_PI_I * om12)
 
 
-# A seed takes at most this many defect-correction passes, fewer when its
-# model's defect stops falling
-_SEED_PASSES = 3
+# A seed takes at most this many defect-correction passes, so at most three
+# model calls; fewer when its model's defect stops falling or a correction
+# is not finite
+_SEED_PASSES = 2
 # the eps chart's model: the period map at order 3 (E_2..E_6 per torus)
 _SEED_ORDER = 3
 
@@ -253,9 +254,11 @@ def _refine_seed(model, correct, inside, x: np.ndarray) -> np.ndarray:
     Newton may start at x.  The model is evaluated outside the domain too,
     so a seed can pass into it.  Returns the last point evaluated inside the
     domain (its defect is the least, since the passes stop once the defect
-    stops falling), or x itself when there is none.  A model that raises a
+    stops falling), or x itself when there is none.  _SEED_PASSES passes
+    make at most _SEED_PASSES + 1 model calls.  A model that raises a
     ``SewingError`` (tau off the upper half-plane, chi off its chart, a
-    singular solve) ends the passes; Newton checks every point at full order.
+    singular solve) ends the passes, and so does a correction that is not
+    finite (a model Om12 of 0, say); Newton checks every point at full order.
     """
     best, last = x, math.inf
     for k in range(_SEED_PASSES + 1):
@@ -270,22 +273,38 @@ def _refine_seed(model, correct, inside, x: np.ndarray) -> np.ndarray:
         if inside(x):
             best = x
         if k < _SEED_PASSES:
-            x = correct(x, d)
+            try:
+                x = correct(x, d)
+            except ArithmeticError:
+                break
+            if not np.isfinite(x).all():
+                break
     return best
 
 
 def _refined_eps_seed(target: PeriodMatrix, tol: SeriesTolerance) -> EpsPoint:
-    """``_eps_seed`` refined against the period map at order _SEED_ORDER:
-    a pass moves tau1 and tau2 by the model's defect in Om11 and Om22 and
-    scales eps by Om12 over the model's."""
+    """``_eps_seed`` refined against the period map at order _SEED_ORDER.
+
+    The model's x12 = -2pi*i Om12/eps is ((I - A1 A2)^-1)(1,1), and
+    d log Om12/d log eps = 3 - 2/x12 at this order.  So a pass scales eps
+    by r = (Om12 over the model's)^(1/(3 - 2/x12)), and sets tau_a to
+    Om_aa less the model's O(eps^2) part Om_aa - tau_a rescaled by r^2.
+    """
     goal = np.array([target.omega11, target.omega22, target.omega12])
+    om11, om22, om12 = target.omega11, target.omega22, target.omega12
 
     def model(v: np.ndarray) -> np.ndarray:
         om = _period_eps(EpsPoint(v[0], v[1], v[2]), _SEED_ORDER, tol)[0]
         return np.array([om.omega11, om.omega22, om.omega12]) - goal
 
     def correct(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return np.array([v[0] - d[0], v[1] - d[1], v[2] * goal[2] / (goal[2] + d[2])])
+        # Python complex arithmetic: a zero model Om12 raises, not warns
+        tau1, tau2, eps = complex(v[0]), complex(v[1]), complex(v[2])
+        model12 = om12 + complex(d[2])
+        r = (om12 / model12) ** (1.0 / (3.0 + 2.0 * eps / (TWO_PI_I * model12)))
+        r2 = r * r
+        return np.array([om11 - (om11 + complex(d[0]) - tau1) * r2,
+                         om22 - (om22 + complex(d[1]) - tau2) * r2, eps * r])
 
     lead = _eps_seed(target, tol)
     x = _refine_seed(model, correct, lambda v: in_domain_eps(EpsPoint(*v)).ok,
@@ -338,6 +357,13 @@ def _newton(f, x0: np.ndarray, newton_tol: float, max_iter: int = 50):
                            last_residual=res, steps=steps)
 
 
+# The fallback of an auto-seeded solve that fails: solve along
+# (Om11, s Om12, Om22) for these s, each step seeded by the one before.  It
+# starts at 0.25 because some targets at margin 0.9-0.95 (eps near the
+# negative real axis, large Im tau) already seed outside D^eps at s = 0.5
+_CONTINUATION = (0.25, 0.5, 0.75, 0.9, 1.0)
+
+
 def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
                newton_tol: float = 1e-10, n: int = 12,
                tol: SeriesTolerance = DEFAULT_TOL) -> EpsPoint:
@@ -346,12 +372,35 @@ def invert_eps(target: PeriodMatrix, seed: EpsPoint | None = None,
     Newton iteration on (tau1, tau2, eps) with the closed-form Jacobian; the
     auto-seed is the leading inversion formulas refined against the order-3
     period map (``_refined_eps_seed``), and an explicit seed is used as
-    given.  diag targets return (tau1, tau2, 0) exactly.
+    given.  When an auto-seeded solve raises ``DomainError`` or
+    ``ConvergenceError``, the target is reached by continuation in Om12
+    (``_CONTINUATION``); if that fails too, the direct solve's error is
+    raised.  An explicit seed never falls back.  diag targets return
+    (tau1, tau2, 0) exactly.
     """
     if abs(target.omega12) < 1e-15:
         return EpsPoint(target.omega11, target.omega22, 0j)
-    if seed is None:
-        seed = _refined_eps_seed(target, tol)
+    if seed is not None:
+        return _solve_eps(target, seed, newton_tol, n, tol)
+    seed = _refined_eps_seed(target, tol)
+    try:
+        return _solve_eps(target, seed, newton_tol, n, tol)
+    except (DomainError, ConvergenceError) as err:
+        direct = err
+    try:
+        p = None
+        for s in _CONTINUATION:
+            step = PeriodMatrix(target.omega11, s * target.omega12, target.omega22)
+            p = _solve_eps(step, _refined_eps_seed(step, tol) if p is None else p,
+                           newton_tol, n, tol)
+    except (DomainError, ConvergenceError):
+        raise direct from None
+    return p
+
+
+def _solve_eps(target: PeriodMatrix, seed: EpsPoint, newton_tol: float, n: int,
+               tol: SeriesTolerance) -> EpsPoint:
+    """Newton from ``seed`` to the preimage of ``target`` at order n."""
     goal = np.array([target.omega11, target.omega22, target.omega12])
 
     def f(v: np.ndarray):

@@ -1,6 +1,6 @@
 """Newton inversion in both charts: seeded round trips with their objective
-counts, explicit seeds, the Jacobian formed only for a step, and the trace a
-failed solve carries."""
+counts, the eps continuation fallback at large margins, explicit seeds, the
+Jacobian formed only for a step, and the trace a failed solve carries."""
 
 import cmath
 import math
@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 from g2sew import (
+    DEFAULT_TOL,
     ChiPoint,
     ConvergenceError,
+    DomainError,
     EpsPoint,
     PeriodMatrix,
+    SewingError,
     chi_period,
     in_domain_rho,
     invert_chi,
@@ -83,9 +86,9 @@ def _diff(a, b, fields) -> float:
 
 
 class TestSeededRoundTrips:
-    # (lowest margin, highest margin, most objective evaluations or None)
+    # (lowest margin, highest margin, most objective evaluations)
     @pytest.mark.parametrize("lo, hi, most", [
-        (0.02, 0.16, 2), (0.16, 0.3, 3), (0.3, 0.6, None)],
+        (0.02, 0.16, 2), (0.16, 0.3, 2), (0.3, 0.6, 4)],
         ids=["near", "far", "margin-0.6"])
     def test_eps(self, lo, hi, most, objective_log):
         rng = random.Random(f"eps:{lo}")
@@ -95,8 +98,7 @@ class TestSeededRoundTrips:
             objective_log.clear()
             q = invert_eps(target, newton_tol=NEWTON_TOL, n=16)
             assert _diff(q, p, ("tau1", "tau2", "eps")) < ROUND_TRIP, p
-            if most is not None:
-                assert len(objective_log) <= most, p
+            assert len(objective_log) <= most, p
 
     @pytest.mark.parametrize("hi", [0.3, 0.6])
     def test_chi(self, hi, objective_log):
@@ -108,6 +110,87 @@ class TestSeededRoundTrips:
             x = invert_chi(target, newton_tol=NEWTON_TOL, n=12)
             assert _diff(x, c, ("tau", "w", "chi")) < ROUND_TRIP, c
             assert len(objective_log) <= 3, c
+
+
+class TestLargeMargins:
+    """30 eps images per margin up to 0.95 of the sharp bound, on fundamental
+    tori with 0.8 <= Im tau <= 2.5: the auto-seeded solve alone, and with
+    the continuation fallback for the targets where it fails."""
+
+    MARGINS = (0.3, 0.6, 0.8, 0.9, 0.95)
+    DIRECT = [30, 30, 26, 23, 21]  # solved by the auto-seeded solve alone
+    SOLVED = [30, 30, 30, 30, 30]
+
+    @staticmethod
+    def images():
+        rng = random.Random(7)
+
+        def tau():
+            while True:
+                t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.5))
+                if abs(t) >= 1.0:
+                    return t
+
+        for margin in TestLargeMargins.MARGINS:
+            for _ in range(30):
+                tau1, tau2 = tau(), tau()
+                bound = 0.25 * lattice_min(tau1) * lattice_min(tau2)
+                p = EpsPoint(tau1, tau2, margin * bound * cmath.exp(2j * math.pi * rng.random()))
+                yield margin, p, period_matrix_eps(p, 16)
+
+    def test_round_trip_or_typed_error(self, objective_log):
+        direct = dict.fromkeys(self.MARGINS, 0)
+        solved = dict.fromkeys(self.MARGINS, 0)
+        for margin, p, target in self.images():
+            # an explicit seed never falls back, so this is the direct solve
+            objective_log.clear()
+            try:
+                invert_eps(target, seed=eps_mod._refined_eps_seed(target, DEFAULT_TOL),
+                           newton_tol=NEWTON_TOL, n=16)
+                direct[margin] += 1
+                ok = True
+            except SewingError:
+                ok = False
+            evals = len(objective_log)
+            objective_log.clear()
+            try:
+                q = invert_eps(target, newton_tol=NEWTON_TOL, n=16)
+            except SewingError:
+                pass
+            else:
+                assert _diff(q, p, ("tau1", "tau2", "eps")) < ROUND_TRIP, p
+                solved[margin] += 1
+            # a direct solve that succeeds is the whole solve; one that fails
+            # is followed by the continuation's evaluations
+            if ok:
+                assert len(objective_log) == evals, p
+            else:
+                assert len(objective_log) > evals, p
+        assert list(direct.values()) == self.DIRECT
+        assert list(solved.values()) == self.SOLVED
+
+    def test_failed_fallback_raises_the_direct_error(self, monkeypatch):
+        raised = []
+        solve = eps_mod._solve_eps
+
+        def recorded(*args):
+            try:
+                return solve(*args)
+            except SewingError as err:
+                raised.append(err)
+                raise
+
+        # every seed lands outside D^eps, so each solve fails at its first point
+        monkeypatch.setattr(eps_mod, "_solve_eps", recorded)
+        monkeypatch.setattr(eps_mod, "_refined_eps_seed", lambda t, tol: EpsPoint(1j, 1j, 20.0))
+        with pytest.raises(DomainError) as err:
+            invert_eps(period_matrix_eps(EpsPoint(1j, 2j, 0.3), 12))
+        assert len(raised) == 2 and err.value is raised[0]
+
+    def test_explicit_seed_never_falls_back(self, objective_log):
+        with pytest.raises(DomainError):
+            invert_eps(period_matrix_eps(EpsPoint(1j, 2j, 0.3), 12), seed=EpsPoint(1j, 1j, 20.0))
+        assert len(objective_log) == 1
 
 
 class TestSeedsAndJacobians:
@@ -132,9 +215,11 @@ class TestSeedsAndJacobians:
     @pytest.mark.parametrize("chart", ["eps", "chi"])
     def test_jacobian_once_per_step_and_never_at_the_answer(self, chart, objective_log):
         # every trial here is accepted at lam = 1, so each evaluated point but
-        # the last starts one step and forms its J once; the last is returned
+        # the last starts one step and forms its J once; the last is returned.
+        # The eps point sits at margin 0.41, where the seed is two steps out
+        # (nearer in, it is already within newton_tol and no step is taken)
         if chart == "eps":
-            p = EpsPoint(0.2 + 1.1j, -0.1 + 1.4j, 0.25 * 2.0 * cmath.exp(0.8j))
+            p = EpsPoint(0.2 + 1.1j, -0.1 + 1.4j, 4.0 * cmath.exp(0.8j))
             x = invert_eps(period_matrix_eps(p, 16), newton_tol=NEWTON_TOL, n=16)
             got = [x.tau1, x.tau2, x.eps]
         else:
@@ -156,6 +241,21 @@ class TestSeedsAndJacobians:
         residuals = [res for res, _ in steps]
         assert residuals == sorted(residuals, reverse=True)
         assert err.value.last_residual == residuals[-1]
+
+    def test_a_correction_that_is_not_finite_ends_the_passes(self, monkeypatch):
+        # a model Om12 of 0 leaves the eps pass's ratio r without a value:
+        # the passes end after the first model call, at the leading seed
+        target = period_matrix_eps(EpsPoint(1j, 2j, 0.3), 12)
+        calls = []
+
+        def flat_model(p, n, tol):
+            calls.append(n)
+            return PeriodMatrix(p.tau1, 0j, p.tau2), None
+
+        monkeypatch.setattr(eps_mod, "_period_eps", flat_model)
+        seed = eps_mod._refined_eps_seed(target, DEFAULT_TOL)
+        assert seed == eps_mod._eps_seed(target, DEFAULT_TOL)
+        assert calls == [eps_mod._SEED_ORDER]
 
     def test_fixed_points_skip_the_seed_passes(self, monkeypatch):
         def refused(*args):
